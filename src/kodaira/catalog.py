@@ -249,7 +249,11 @@ def _is_single_cycle(config: CurveConfiguration) -> bool:
     graph = dual_graph(reduce(config))
     if len(graph.edges) != len(graph.vertices):
         return False
-    return all(graph.degree(v) == 2 for v in graph.vertices)
+    degree = dict.fromkeys(graph.vertices, 0)
+    for a, b in graph.edges:
+        degree[a] += 1
+        degree[b] += 1
+    return all(d == 2 for d in degree.values())
 
 
 def _classify_dstar(config: CurveConfiguration) -> KodairaType | None:

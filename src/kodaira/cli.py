@@ -257,6 +257,19 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse says "invalid int value: 'x'" for a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kodaira",
@@ -285,8 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_matrix = sub.add_parser("matrix", help="pairwise verdicts over a parameter range")
-    p_matrix.add_argument("--max-n", type=int, default=4, help="largest cycle/star parameter N")
-    p_matrix.add_argument("--max-m", type=int, default=3, help="largest multiplicity m")
+    p_matrix.add_argument(
+        "--max-n", type=_int_at_least(0), default=4, help="largest cycle/star parameter N"
+    )
+    p_matrix.add_argument(
+        "--max-m", type=_int_at_least(1), default=3, help="largest multiplicity m"
+    )
     _add_format(p_matrix)
     p_matrix.set_defaults(func=cmd_matrix)
     return parser
@@ -303,10 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (TypeSpecError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TypeSpecError, DocumentError, UnicodeDecodeError, OSError) as exc:
+        # UnicodeDecodeError is a ValueError, but undecodable bytes are
+        # unparseable input, not a failed validation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigurationError as exc:

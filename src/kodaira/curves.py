@@ -8,10 +8,17 @@ the curve), while separate point records describe how distinct components
 meet (transversally, at a tacnode, or at an ordinary triple point).
 
 The intersection matrix, divisor squares and the numerical fiber test are
-derived from this data in exact integer arithmetic. The surface is assumed
-to be a relatively minimal elliptic fibration, so the canonical class
-pairs to zero with every component; this makes chi(O_D) = -D^2/2 exact for
-divisors with smooth components.
+derived from the component and point records in exact integer arithmetic.
+The fiber test is the single product M * m with the multiplicity vector:
+by Zariski's lemma (Barth-Hulek-Peters-Van de Ven, Compact Complex
+Surfaces, Lemma III.8.2), a connected configuration with multiplicities
+>= 1, non-negative pairings between distinct components and M * m = 0 has
+a negative semidefinite intersection matrix with radical Q * m, so neither
+needs checking by elimination.
+
+The surface is assumed to be a relatively minimal elliptic fibration, so
+the canonical class pairs to zero with every component; this makes
+chi(O_D) = -D^2/2 exact for divisors with smooth components.
 """
 
 from __future__ import annotations
@@ -21,13 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-from .linalg import (
-    matvec,
-    negative_semidefinite_with_rank,
-    quadratic_form,
-    rational_kernel,
-)
+from typing import Iterator, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -185,31 +186,53 @@ class IntersectionMatrix:
         return len(self.entries)
 
     def apply(self, vector: tuple[int, ...]) -> list[int]:
-        return matvec(self.entries, vector)
+        if len(vector) != self.size:
+            raise ValueError(
+                f"vector length {len(vector)} does not match matrix size {self.size}"
+            )
+        return [sum(x * v for x, v in zip(row, vector)) for row in self.entries]
 
 
-@functools.cache
+def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
+    """(i, j, k): a point adds k to the pairing of distinct components i, j.
+
+    Each point adds its local contribution to every unordered pair of its
+    incident components (1 for a transverse crossing, 2 for a tacnode, 1
+    per pair at a triple point). Intrinsic singularities live on a single
+    component and contribute nothing.
+    """
+    index = {c.name: i for i, c in enumerate(config.components)}
+    for p in config.points:
+        contribution = p.local_type.pair_contribution()
+        ids = [index[name] for name in p.incident]
+        for a, i in enumerate(ids):
+            for j in ids[a + 1 :]:
+                yield i, j, contribution
+
+
+def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:
+    """M * vector for the intersection matrix M, without forming M."""
+    product = [c.self_intersection * v for c, v in zip(config.components, vector)]
+    for i, j, k in _pairings(config):
+        product[i] += k * vector[j]
+        product[j] += k * vector[i]
+    return product
+
+
 def intersection_matrix(config: CurveConfiguration) -> IntersectionMatrix:
     """Pairwise intersection numbers of the components.
 
-    The diagonal holds the self-intersections; each point adds its local
-    contribution to every unordered pair of incident components (1 for a
-    transverse crossing, 2 for a tacnode, 1 per pair at a triple point).
-    Intrinsic singularities live on a single component and contribute
-    nothing here.
+    The diagonal holds the self-intersections; off the diagonal, every
+    point adds its local contribution to each pair of its incident
+    components. The dense form is built only here, for display.
     """
-    index = {c.name: i for i, c in enumerate(config.components)}
     n = config.n_components
     m = [[0] * n for _ in range(n)]
     for i, c in enumerate(config.components):
         m[i][i] = c.self_intersection
-    for p in config.points:
-        contribution = p.local_type.pair_contribution()
-        ids = [index[name] for name in p.incident]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                m[ids[a]][ids[b]] += contribution
-                m[ids[b]][ids[a]] += contribution
+    for i, j, k in _pairings(config):
+        m[i][j] += k
+        m[j][i] += k
     return IntersectionMatrix(tuple(tuple(row) for row in m))
 
 
@@ -219,7 +242,7 @@ def divisor_square(config: CurveConfiguration, coeffs: tuple[int, ...] | list[in
         raise ValueError(
             f"coefficient vector has length {len(coeffs)}, expected {config.n_components}"
         )
-    return quadratic_form(intersection_matrix(config).entries, tuple(coeffs))
+    return sum(v * w for v, w in zip(coeffs, _product(config, coeffs)))
 
 
 @functools.cache
@@ -241,34 +264,42 @@ def gcd_multiplicity(config: CurveConfiguration) -> int:
     return math.gcd(*config.multiplicities())
 
 
-@functools.cache
 def fiber_obstruction(config: CurveConfiguration) -> str | None:
     """Why the configuration fails the numerical fiber test, or None.
 
-    A fiber of an elliptic fibration is connected (enforced at
-    construction), pairs to zero with each component (M * m = 0 for the
-    multiplicity vector m) and, when reducible, has a negative semidefinite
-    intersection matrix whose radical is the line spanned by m.
+    A fiber of an elliptic fibration is connected and pairs to zero with
+    each component: M * m = 0 for the multiplicity vector m. That product
+    is the whole test. By Zariski's lemma (Barth-Hulek-Peters-Van de Ven,
+    Compact Complex Surfaces, Lemma III.8.2), a configuration with
+    connected support, multiplicities >= 1 and non-negative pairings
+    between distinct components, all enforced at construction, and with
+    M * m = 0 has a negative semidefinite intersection matrix whose
+    radical is the line Q * m. It runs in O(components + points).
     """
-    m = intersection_matrix(config)
-    mult = config.multiplicities()
-    if any(m.apply(mult)):
+    if any(_product(config, config.multiplicities())):
         return "M*m != 0"
-    if config.n_components >= 2:
-        semidefinite, rank = negative_semidefinite_with_rank(m.entries)
-        if not semidefinite:
-            return "intersection matrix is not negative semidefinite"
-        radical_dim = config.n_components - rank
-        if radical_dim != 1:
-            return f"radical of the intersection matrix has rank {radical_dim}, expected 1"
     return None
 
 
 def is_fiber_like(config: CurveConfiguration) -> bool:
-    """Numerical test for being a fiber: connected, M*m = 0, rank-1 radical."""
+    """Numerical test for being a fiber: M*m = 0 on a connected configuration.
+
+    By Zariski's lemma this also makes M negative semidefinite with the
+    rank-1 radical Q * m; see `fiber_obstruction`.
+    """
     return fiber_obstruction(config) is None
 
 
 def radical_basis(config: CurveConfiguration) -> list[list[Fraction]]:
-    """Rational basis of the kernel of the intersection matrix."""
-    return rational_kernel(intersection_matrix(config).entries)
+    """Rational basis of the kernel of the intersection matrix of a fiber.
+
+    For a fiber-like configuration Zariski's lemma makes the kernel the
+    line spanned by the multiplicity vector m, so the basis is the single
+    primitive vector m / gcd(m). Any other configuration raises ValueError
+    naming the obstruction, because m is not its kernel.
+    """
+    obstruction = fiber_obstruction(config)
+    if obstruction is not None:
+        raise ValueError(f"not fiber-like: {obstruction}")
+    g = gcd_multiplicity(config)
+    return [[Fraction(x, g) for x in config.multiplicities()]]

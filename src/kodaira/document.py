@@ -17,6 +17,8 @@ ordinary_triple (three components). Parse errors carry the line number.
 
 from __future__ import annotations
 
+import re
+
 from .curves import (
     Component,
     ConfigurationError,
@@ -36,11 +38,14 @@ class DocumentError(ValueError):
         super().__init__(prefix + message)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DocumentError(f"{what} must be an integer, got {token!r}", line) from None
+    # int() would also take "+1", "0_0" and non-ASCII digits
+    if not _INTEGER.fullmatch(token):
+        raise DocumentError(f"{what} must be an integer, got {token!r}", line)
+    return int(token)
 
 
 def _parse_component(tokens: list[str], line: int) -> Component:

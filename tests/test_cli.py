@@ -61,6 +61,24 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    def test_non_utf8_document_is_a_parse_error(self, capsys, tmp_path):
+        doc = tmp_path / "latin1.curve"
+        doc.write_bytes(b"[components]\nc\xff 1 1 0\n")
+        code, out, err = run_cli(capsys, "classify", str(doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--max-n", "-3", "--max-m", "0"), ("--max-n", "-1"), ("--max-m", "0"), ("--max-m", "-2")],
+    )
+    def test_out_of_range_matrix_bounds_are_usage_errors(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "matrix", *bounds)
+        assert code == 1
+        assert out == ""
+        assert "must be >=" in err
+
     def test_empty_component_list_is_a_parse_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.curve"
         empty.write_text("[components]\n")

@@ -57,6 +57,10 @@ class TestIntersectionMatrix:
         # the fiber class pairs to zero against each component
         assert intersection_matrix(build(KodairaType("III"))).apply((1, 1)) == [0, 0]
 
+    def test_apply_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            intersection_matrix(build(KodairaType("III"))).apply((1, 1, 1))
+
     @pytest.mark.parametrize("kind", catalog_types(8, 4))
     def test_symmetric_with_nonnegative_off_diagonal(self, kind):
         m = intersection_matrix(build(kind)).entries
@@ -118,6 +122,11 @@ class TestFiberTest:
 
     def test_chain_is_not_fiber_like(self):
         assert fiber_obstruction(chain_of_three()) == "M*m != 0"
+
+    def test_radical_basis_rejects_a_non_fiber(self):
+        # the A3 chain is negative definite: its kernel is 0, not Q * m
+        with pytest.raises(ValueError, match=r"M\*m != 0"):
+            radical_basis(chain_of_three())
 
     def test_positive_self_intersection_reported(self):
         config = CurveConfiguration(

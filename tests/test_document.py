@@ -75,9 +75,10 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="line 3"):
             parse_document("\n[components]\na 1 0\n")
 
-    def test_bad_integer_carries_line(self):
-        with pytest.raises(DocumentError, match="line 2.*multiplicity"):
-            parse_document("[components]\na x 0 -2\n")
+    @pytest.mark.parametrize("token", ["x", "+1", "0_0", "\u0661"])
+    def test_bad_integer_carries_line(self, token):
+        with pytest.raises(DocumentError, match="line 2: multiplicity must be an integer"):
+            parse_document(f"[components]\na {token} 0 -2\n")
 
     def test_unknown_local_type(self):
         with pytest.raises(DocumentError, match="local type"):

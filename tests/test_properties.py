@@ -1,5 +1,6 @@
 """Property tests over randomized configurations, not just catalog members."""
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -13,15 +14,18 @@ from kodaira import (
     SingularPoint,
     build,
     classify,
+    divisor_square,
     dual_graph,
+    fiber_obstruction,
     first_betti,
     gcd_multiplicity,
     intersection_matrix,
     invariant_profile,
     loop_rank,
+    radical_basis,
     reduce,
 )
-from oracles import relabeled
+from oracles import integer_kernel, negative_semidefinite_by_minors, relabeled
 
 
 @st.composite
@@ -131,3 +135,101 @@ def test_transverse_only_dual_graphs_satisfy_the_point_count_formula(config):
         return
     betti = first_betti(dual_graph(reduced))
     assert betti == len(reduced.points) - reduced.n_components + 1
+
+
+_PAIR_WEIGHT = {LocalType.TRANSVERSE: 1, LocalType.TACNODE: 2, LocalType.ORDINARY_TRIPLE: 1}
+
+
+@st.composite
+def fiber_candidates(draw):
+    """Connected configurations of 1-8 components, multiplicities 1-6.
+
+    Points are drawn first. A constrained draw then lowers multiplicities
+    until each m_i divides the off-diagonal part of (M*m)_i, and sets each
+    self-intersection to make M*m = 0; an unconstrained draw takes random
+    self-intersections.
+    """
+    n = draw(st.integers(1, 8))
+    mults = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    kinds = [LocalType.TRANSVERSE, LocalType.TACNODE, LocalType.ORDINARY_TRIPLE]
+    incidences = []
+    for i in range(1, n):  # join each component to an earlier one
+        j = draw(st.integers(0, i - 1))
+        local = draw(st.sampled_from(kinds if n >= 3 else kinds[:2]))
+        ids = [i, j]
+        if local is LocalType.ORDINARY_TRIPLE:
+            ids.append(draw(st.sampled_from([k for k in range(n) if k not in ids])))
+        incidences.append((local, ids))
+    for _ in range(draw(st.integers(0, 4))):
+        local = draw(st.sampled_from(kinds))
+        if local.arity <= n:
+            incidences.append((local, draw(st.permutations(range(n)))[: local.arity]))
+
+    def off_diagonal(mults):
+        """(M*m)_i without the self-intersection term."""
+        sums = [0] * n
+        for local, ids in incidences:
+            for a in ids:
+                for b in ids:
+                    if a != b:
+                        sums[a] += _PAIR_WEIGHT[local] * mults[b]
+        return sums
+
+    if draw(st.booleans()):  # constrained
+        # lower each m_i to gcd(m_i, sum) until every division is exact
+        while (lowered := [math.gcd(m, s) for m, s in zip(mults, off_diagonal(mults))]) != mults:
+            mults = lowered
+        squares = [-s // m for m, s in zip(mults, off_diagonal(mults))]
+    else:
+        squares = [draw(st.integers(-8, 2)) for _ in range(n)]
+    components = tuple(Component(f"c{i}", mults[i], 0, squares[i]) for i in range(n))
+    points = tuple(
+        SingularPoint(f"p{k}", local, tuple(f"c{i}" for i in ids))
+        for k, (local, ids) in enumerate(incidences)
+    )
+    return CurveConfiguration(components, points)
+
+
+def dense_matrix(config):
+    """The intersection matrix written out from the records, by hand."""
+    index = {c.name: i for i, c in enumerate(config.components)}
+    rows = [[0] * config.n_components for _ in config.components]
+    for i, c in enumerate(config.components):
+        rows[i][i] = c.self_intersection
+    for p in config.points:
+        for a in p.incident:
+            for b in p.incident:
+                if a != b:
+                    rows[index[a]][index[b]] += _PAIR_WEIGHT[p.local_type]
+    return rows
+
+
+def proportional(v, w):
+    return all(v[i] * w[0] == v[0] * w[i] for i in range(len(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fiber_candidates())
+def test_fiber_test_is_zariskis_lemma(config):
+    """M*m = 0 alone decides the fiber test, as Zariski's lemma says: the
+    oracles confirm the semidefiniteness and the rank-1 radical Q*m that
+    the library takes from the lemma."""
+    mult = config.multiplicities()
+    rows = dense_matrix(config)
+    assert intersection_matrix(config).entries == tuple(map(tuple, rows))
+    product = [sum(x * v for x, v in zip(row, mult)) for row in rows]
+    assert divisor_square(config, mult) == sum(v * w for v, w in zip(mult, product))
+
+    kernel = integer_kernel(rows)
+    fiber = (
+        not any(product)
+        and len(kernel) == 1
+        and proportional(kernel[0], mult)
+        and negative_semidefinite_by_minors(rows)
+    )
+    obstruction = fiber_obstruction(config)
+    assert obstruction in (None, "M*m != 0")
+    assert (obstruction is None) == fiber
+    if fiber:
+        (basis,) = radical_basis(config)
+        assert proportional(basis, mult)
