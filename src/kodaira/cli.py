@@ -168,7 +168,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    with open(args.path, encoding="utf-8") as handle:
+    with open(args.path, encoding="utf-8-sig") as handle:
         text = handle.read()
     config = parse_document(text)
     kind = classify(config)

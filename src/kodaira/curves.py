@@ -28,11 +28,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ConfigurationError(ValueError):
     """Raised when curve data violates a structural invariant."""
+
+
+def _class_count(size: int, links: Iterable[tuple[int, int]]) -> int:
+    """Classes of range(size) joined by the links: path-halving union-find."""
+    parent = list(range(size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return len({find(i) for i in range(size)})
 
 
 class LocalType(str, Enum):
@@ -139,24 +154,10 @@ class CurveConfiguration:
                     raise ConfigurationError(
                         f"point {p.name!r} references unknown component {ref!r}"
                     )
-        if not self._is_connected():
+        index = {name: i for i, name in enumerate(names)}
+        links = ((index[p.incident[0]], index[ref]) for p in self.points for ref in p.incident[1:])
+        if _class_count(len(names), links) != 1:
             raise ConfigurationError("configuration is not connected")
-
-    def _is_connected(self) -> bool:
-        index = {c.name: i for i, c in enumerate(self.components)}
-        parent = list(range(len(self.components)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for p in self.points:
-            anchor = find(index[p.incident[0]])
-            for ref in p.incident[1:]:
-                parent[find(index[ref])] = anchor
-        return len({find(i) for i in range(len(self.components))}) == 1
 
     @property
     def n_components(self) -> int:

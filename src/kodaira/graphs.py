@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .curves import CurveConfiguration, IntrinsicType, reduce
+from .curves import CurveConfiguration, IntrinsicType, _class_count, reduce
 
 COMPONENT_PREFIX = "c:"
 POINT_PREFIX = "p:"
@@ -47,17 +47,7 @@ class Multigraph:
 
     def connected_component_count(self) -> int:
         index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b in self.edges:
-            parent[find(index[a])] = find(index[b])
-        return len({find(i) for i in range(len(self.vertices))})
+        return _class_count(len(self.vertices), ((index[a], index[b]) for a, b in self.edges))
 
     def edge_list_text(self) -> str:
         """Plain-text edge list, one edge per line, labels verbatim."""

@@ -7,13 +7,16 @@ invariant agrees and both curves are reduced catalog members, the types
 coincide and the curves are isomorphic (a reduced fiber has no partner
 but itself). For non-reduced or multiple fibers no converse is known, so
 agreement only yields "possibly equivalent".
+
+`compare` and `partner_matrix` share one ordered table of checks; the matrix
+computes one profile per type and takes every cell from its row of values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import KodairaType, Subclass, build, classify
 from .curves import CurveConfiguration
@@ -52,53 +55,37 @@ _SMOOTH_ELLIPTIC_NOTE = (
 _NO_CONVERSE_NOTE = "all computed necessary conditions agree; no converse is known"
 
 
-def _check_order(
-    left: InvariantProfile, right: InvariantProfile
-) -> list[tuple[str, object, object]]:
-    return [
-        ("arithmetic genus", left.arithmetic_genus, right.arithmetic_genus),
-        ("G0 rank", left.g0_rank, right.g0_rank),
-        ("K^-1 rank", left.k_minus_one_rank, right.k_minus_one_rank),
-        (
-            "Picard identity component",
-            left.picard.identity_component_label(),
-            right.picard.identity_component_label(),
-        ),
-        ("Picard discrete rank", left.picard.discrete_rank, right.picard.discrete_rank),
-        (
-            "isolated singularities",
-            "yes" if left.reduced else "no",
-            "yes" if right.reduced else "no",
-        ),
-    ]
+# The checks in witness order. A check whose getter returns None on either
+# side is skipped: the singular point count exists only for reduced curves.
+_CHECKS: tuple[tuple[str, Callable[[InvariantProfile], object]], ...] = (
+    ("arithmetic genus", lambda p: p.arithmetic_genus),
+    ("G0 rank", lambda p: p.g0_rank),
+    ("K^-1 rank", lambda p: p.k_minus_one_rank),
+    ("Picard identity component", lambda p: p.picard.identity_component_label()),
+    ("Picard discrete rank", lambda p: p.picard.discrete_rank),
+    ("isolated singularities", lambda p: "yes" if p.reduced else "no"),
+    ("singular point count", lambda p: p.singular_point_count),
+    ("subclass", lambda p: p.subclass.value if p.subclass else "unclassified"),
+)
 
 
-def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
-    """Compare every invariant, in a fixed order, and issue a verdict."""
-    px = invariant_profile(x)
-    py = invariant_profile(y)
+def _row(profile: InvariantProfile) -> tuple:
+    return tuple(get(profile) for _, get in _CHECKS)
 
-    witnesses = [
+
+def _not_equivalent(rx: tuple, ry: tuple) -> PartnerVerdict:
+    """NotEquivalent with every witness two rows give; equal rows give none."""
+    witnesses = tuple(
         Witness(name, str(a), str(b))
-        for name, a, b in _check_order(px, py)
-        if a != b
-    ]
-    if px.reduced and py.reduced and px.singular_point_count != py.singular_point_count:
-        witnesses.append(
-            Witness(
-                "singular point count",
-                str(px.singular_point_count),
-                str(py.singular_point_count),
-            )
-        )
-    sx = px.subclass.value if px.subclass else "unclassified"
-    sy = py.subclass.value if py.subclass else "unclassified"
-    if sx != sy:
-        witnesses.append(Witness("subclass", sx, sy))
-    if witnesses:
-        return PartnerVerdict(VerdictKind.NOT_EQUIVALENT, tuple(witnesses))
+        for (name, _), a, b in zip(_CHECKS, rx, ry)
+        if a != b and a is not None and b is not None
+    )
+    return PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses)
 
-    if px.subclass is Subclass.L1 and py.subclass is Subclass.L1:
+
+def _agreeing(x: CurveConfiguration, y: CurveConfiguration, subclass: Subclass | None) -> PartnerVerdict:
+    """Verdict for two fibers on which every check agrees, subclass included."""
+    if subclass is Subclass.L1:
         # matching profiles separate the reduced types, so the types agree
         tx, ty = classify(x), classify(y)
         assert tx == ty, (tx, ty)
@@ -108,7 +95,29 @@ def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     return PartnerVerdict(VerdictKind.POSSIBLY_EQUIVALENT, note=note)
 
 
+def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
+    """Compare every invariant, in a fixed order, and issue a verdict."""
+    px, py = invariant_profile(x), invariant_profile(y)
+    verdict = _not_equivalent(_row(px), _row(py))
+    return verdict if verdict.witnesses else _agreeing(x, y, px.subclass)
+
+
 def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
-    """Verdict for every ordered pair of catalog types."""
+    """Verdict for every ordered pair of catalog types.
+
+    Unequal rows differ in a check both sides define (no singular point
+    count means differing "isolated singularities"), so their cell is
+    NotEquivalent and is read from `differing` by the two row numbers.
+    """
     configs = [build(t) for t in types]
-    return [[compare(a, b) for b in configs] for a in configs]
+    profiles = [invariant_profile(c) for c in configs]
+    numbers: dict[tuple, int] = {}
+    rows = [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
+    differing = [[_not_equivalent(a, b) for b in numbers] for a in numbers]
+    return [
+        [
+            _agreeing(x, y, px.subclass) if rx == ry else differing[rx][ry]
+            for y, ry in zip(configs, rows)
+        ]
+        for x, px, rx in zip(configs, profiles, rows)
+    ]

@@ -69,6 +69,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "utf-8" in err
 
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        plain = tmp_path / "plain.curve"
+        plain.write_bytes(b"[components]\nc1 1 1 0\n")
+        marked = tmp_path / "marked.curve"
+        marked.write_bytes(b"\xef\xbb\xbf[components]\nc1 1 1 0\n")
+        code, out, err = run_cli(capsys, "classify", str(marked))
+        assert (code, out, err) == run_cli(capsys, "classify", str(plain))
+        assert code == 0
+        assert out.startswith("I(0)")
+
     @pytest.mark.parametrize(
         "bounds",
         [("--max-n", "-3", "--max-m", "0"), ("--max-n", "-1"), ("--max-m", "0"), ("--max-m", "-2")],

@@ -89,6 +89,18 @@ class TestSeparation:
         assert verdict.kind is VerdictKind.NOT_EQUIVALENT
         assert "isolated singularities" in witness_names(verdict)
 
+    def test_singular_point_count_compared_only_between_reduced_curves(self):
+        assert "singular point count" in witness_names(
+            compare(build(KodairaType("I", 2)), build(KodairaType("I", 3)))
+        )
+        mixed = [
+            (KodairaType("I", 2), KodairaType("mI", n=2, m=2)),
+            (KodairaType("IStar", 0), KodairaType("IV")),
+        ]
+        for a, b in mixed:
+            assert "singular point count" not in witness_names(compare(build(a), build(b)))
+            assert "singular point count" not in witness_names(compare(build(b), build(a)))
+
     def test_l2_versus_l3_witnessed_by_picard_identity(self):
         verdict = compare(build(KodairaType("IStar", 0)), build(KodairaType("mI", n=5, m=2)))
         assert verdict.kind is VerdictKind.NOT_EQUIVALENT
@@ -166,3 +178,23 @@ class TestPartnerMatrix:
         table = partner_matrix(types)
         assert table[0][1].kind is VerdictKind.NOT_EQUIVALENT
         assert table[0][0].kind is VerdictKind.POSSIBLY_EQUIVALENT
+
+    def test_every_cell_equals_compare(self):
+        i0, istar4, iistar = KodairaType("I", 0), KodairaType("IStar", 4), KodairaType("IIStar")
+        mi25, mi35 = KodairaType("mI", n=5, m=2), KodairaType("mI", n=5, m=3)
+        # the repeats put identical configurations off the diagonal as well
+        types = catalog_types(6, 4) + [i0, istar4, iistar, mi25, mi35]
+        table = partner_matrix(types)
+        for row, a in zip(table, types):
+            for verdict, b in zip(row, types):
+                assert verdict == compare(build(a), build(b)), (a, b)
+
+        def cell(a, b):
+            return table[types.index(a)][types.index(b)]
+
+        assert "j-invariant" in cell(i0, i0).note
+        assert cell(istar4, iistar).kind is VerdictKind.POSSIBLY_EQUIVALENT
+        assert cell(istar4, iistar).witnesses == ()
+        assert invariant_profile(build(mi25)) == invariant_profile(build(mi35))
+        assert cell(mi25, mi35).kind is VerdictKind.POSSIBLY_EQUIVALENT
+        assert cell(mi25, mi35).note != cell(mi25, mi25).note
