@@ -24,9 +24,7 @@ from .curves import (
     SingularPoint,
     gcd_multiplicity,
     is_fiber_like,
-    reduce,
 )
-from .graphs import dual_graph
 
 
 class TypeSpecError(ValueError):
@@ -225,11 +223,18 @@ def build(kind: KodairaType) -> CurveConfiguration:
     return _from_incidences(*_STAR_DATA[family])
 
 
-def _adjacency(graph_edges: tuple[tuple[str, str], ...]) -> dict[str, list[str]]:
-    adjacency: dict[str, list[str]] = {}
-    for a, b in graph_edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+def _adjacency(config: CurveConfiguration) -> dict[str, list[str]]:
+    """Dual-graph neighbours of each component, one entry per point.
+
+    The recognizer calls this only once every point is a transverse pair
+    and no component carries an intrinsic singularity, so the points are
+    exactly the edges of the dual graph.
+    """
+    adjacency: dict[str, list[str]] = {c.name: [] for c in config.components}
+    for p in config.points:
+        a, b = p.incident
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     return adjacency
 
 
@@ -246,14 +251,9 @@ def _classify_irreducible(config: CurveConfiguration) -> KodairaType | None:
 
 
 def _is_single_cycle(config: CurveConfiguration) -> bool:
-    graph = dual_graph(reduce(config))
-    if len(graph.edges) != len(graph.vertices):
+    if len(config.points) != config.n_components:
         return False
-    degree = dict.fromkeys(graph.vertices, 0)
-    for a, b in graph.edges:
-        degree[a] += 1
-        degree[b] += 1
-    return all(d == 2 for d in degree.values())
+    return all(len(neighbors) == 2 for neighbors in _adjacency(config).values())
 
 
 def _classify_dstar(config: CurveConfiguration) -> KodairaType | None:
@@ -262,12 +262,11 @@ def _classify_dstar(config: CurveConfiguration) -> KodairaType | None:
     twos = [name for name, m in mults.items() if m == 2]
     if len(ones) != 4 or not twos or len(ones) + len(twos) != config.n_components:
         return None
-    graph = dual_graph(reduce(config))
-    if len(graph.edges) != len(graph.vertices) - 1:
+    if len(config.points) != config.n_components - 1:
         return None  # not a tree
-    adjacency = _adjacency(graph.edges)
+    adjacency = _adjacency(config)
     for leaf in ones:
-        neighbors = adjacency.get(leaf, [])
+        neighbors = adjacency[leaf]
         if len(neighbors) != 1 or mults[neighbors[0]] != 2:
             return None
     if len(twos) == 1:
@@ -277,8 +276,8 @@ def _classify_dstar(config: CurveConfiguration) -> KodairaType | None:
         return KodairaType("IStar", 0)
     ends = 0
     for name in twos:
-        inner = [v for v in adjacency.get(name, []) if mults[v] == 2]
-        leaves = [v for v in adjacency.get(name, []) if mults[v] == 1]
+        inner = [v for v in adjacency[name] if mults[v] == 2]
+        leaves = [v for v in adjacency[name] if mults[v] == 1]
         if len(inner) == 1 and len(leaves) == 2:
             ends += 1
         elif len(inner) == 2 and not leaves:
@@ -302,12 +301,11 @@ def _classify_estar(config: CurveConfiguration) -> KodairaType | None:
     )
     if candidate is None:
         return None
-    graph = dual_graph(reduce(config))
-    if len(graph.edges) != len(graph.vertices) - 1:
-        return None
-    adjacency = _adjacency(graph.edges)
+    if len(config.points) != config.n_components - 1:
+        return None  # not a tree
+    adjacency = _adjacency(config)
     mults = {c.name: c.multiplicity for c in config.components}
-    centers = [v for v in graph.vertices if len(adjacency.get(v, [])) == 3]
+    centers = [v for v, neighbors in adjacency.items() if len(neighbors) == 3]
     if len(centers) != 1 or mults[centers[0]] != _STAR_CENTER_MULT[candidate]:
         return None
     center = centers[0]
@@ -329,7 +327,6 @@ def _classify_estar(config: CurveConfiguration) -> KodairaType | None:
     return KodairaType(candidate)
 
 
-@functools.cache
 def classify(config: CurveConfiguration) -> KodairaType | None:
     """Recognize a configuration as a catalog type, or return None.
 

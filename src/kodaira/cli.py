@@ -29,7 +29,6 @@ from .invariants import (
     dsg_status,
     euler_characteristic,
     invariant_profile,
-    is_k_minus_one_regular,
 )
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
 
@@ -100,7 +99,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _matrix_lines(config: CurveConfiguration) -> list[str]:
     entries = intersection_matrix(config).entries
-    width = max(len(str(e)) for row in entries for e in row)
+    # the widest integer is the smallest or the largest one
+    width = max(len(str(min(map(min, entries)))), len(str(max(map(max, entries)))))
     return ["  [" + " ".join(f"{e:>{width}}" for e in row) + "]" for row in entries]
 
 
@@ -131,7 +131,8 @@ def cmd_show(args: argparse.Namespace) -> int:
                 "arithmetic_genus": profile.arithmetic_genus,
                 "g0_rank": profile.g0_rank,
                 "k_minus_one_rank": profile.k_minus_one_rank,
-                "k_minus_one_regular": is_k_minus_one_regular(config),
+                # every curve is K^-1-regular: Weibel's conjecture is a theorem in dimension 1
+                "k_minus_one_regular": True,
                 "picard": {
                     "unipotent_dim": profile.picard.unipotent_dim,
                     "torus_rank": profile.picard.torus_rank,
@@ -156,7 +157,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     print(f"G0 rank: {profile.g0_rank}")
     print(f"K^-1 rank: {profile.k_minus_one_rank}")
     print("K^i rank for i <= -2: 0")
-    print(f"K^-1-regular: {'yes' if is_k_minus_one_regular(config) else 'no'}")
+    print("K^-1-regular: yes")
     print(f"Pic: {profile.picard.describe()}")
     print(f"singular locus: {_singular_locus_text(profile)}")
     print("dualising sheaf: trivial")

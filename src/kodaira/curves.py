@@ -23,7 +23,6 @@ chi(O_D) = -D^2/2 exact for divisors with smooth components.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -246,7 +245,6 @@ def divisor_square(config: CurveConfiguration, coeffs: tuple[int, ...] | list[in
     return sum(v * w for v, w in zip(coeffs, _product(config, coeffs)))
 
 
-@functools.cache
 def reduce(config: CurveConfiguration) -> CurveConfiguration:
     """The underlying reduced curve: every multiplicity reset to 1."""
     if config.is_reduced():

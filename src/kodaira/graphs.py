@@ -7,14 +7,18 @@ nodes. The branch-incidence graph (Roberts' bipartite graph) has a vertex
 for every singular point and for every normalized component, with one edge
 per branch through the point; its first Betti number is the rank of the
 first negative K-group.
+
+The library reads what it needs of these graphs straight off the point
+records: `loop_rank` is a closed-form count, and the recognizer builds its
+own adjacency. The explicit `Multigraph`s and `first_betti` are for export
+and for checking those shortcuts against the graphs they stand for.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .curves import CurveConfiguration, IntrinsicType, _class_count, reduce
+from .curves import CurveConfiguration, IntrinsicType, _class_count
 
 COMPONENT_PREFIX = "c:"
 POINT_PREFIX = "p:"
@@ -111,11 +115,18 @@ def first_betti(graph: Multigraph) -> int:
     return len(graph.edges) - len(graph.vertices) + graph.connected_component_count()
 
 
-@functools.cache
 def loop_rank(config: CurveConfiguration) -> int:
     """Cycle rank of the branch-incidence graph of the reduced curve.
 
-    This is the free rank of the first negative K-group; it only depends on
-    the reduction, so non-reduced input is reduced first.
+    This is the free rank of the first negative K-group. Roberts' graph is
+    connected because the configuration is, so its cycle rank is
+    E - V + 1; a point of arity k adds k edges and one vertex, an
+    intrinsic singularity with b branches adds b edges and one vertex.
+    Multiplicities play no part, so non-reduced input needs no reduction.
     """
-    return first_betti(bipartite_graph(reduce(config)))
+    return (
+        1
+        - config.n_components
+        + sum(p.local_type.arity - 1 for p in config.points)
+        + sum(s.branches - 1 for c in config.components for s in c.intrinsic)
+    )

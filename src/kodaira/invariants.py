@@ -66,13 +66,6 @@ class PicardDescriptor:
         return f"extension of Z^{self.discrete_rank} by {self.identity_component_label()}"
 
 
-class K0Shape(NamedTuple):
-    """K^0 of a connected curve: H^0(X,Z) + the Picard group."""
-
-    h0_rank: int
-    picard: PicardDescriptor
-
-
 class SingularitySummary(NamedTuple):
     isolated: bool
     count: int | None
@@ -99,7 +92,6 @@ class InvariantProfile:
     subclass: Subclass | None  # present exactly when the curve classifies
 
 
-@functools.cache
 def euler_characteristic(config: CurveConfiguration) -> int:
     """chi(O_X), exactly.
 
@@ -149,18 +141,14 @@ def grothendieck_group(config: CurveConfiguration) -> FreeAbelianGroup:
 def negative_k(config: CurveConfiguration, i: int) -> FreeAbelianGroup:
     """K^i for i <= -1: free of rank loop_rank at i = -1, zero below."""
     if i >= 0:
-        raise ValueError("negative_k handles i <= -1 only; use k0_shape for K^0")
+        raise ValueError(
+            "negative_k handles i <= -1 only; K^0 is Z + Pic, see picard_descriptor"
+        )
     if i == -1:
         return FreeAbelianGroup(loop_rank(config))
     return FreeAbelianGroup(0)
 
 
-def is_k_minus_one_regular(config: CurveConfiguration) -> bool:
-    """K^i(X) = K^i(X[t_1..t_r]) for all i <= -1; holds for every curve here."""
-    return True
-
-
-@functools.cache
 def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
     """Shape of Pic(X) from the configuration.
 
@@ -178,10 +166,6 @@ def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
             "negative unipotent dimension; the configuration is not fiber-like"
         )
     return PicardDescriptor(unipotent, torus, elliptic, config.n_components)
-
-
-def k0_shape(config: CurveConfiguration) -> K0Shape:
-    return K0Shape(1, picard_descriptor(config))
 
 
 def is_smooth(config: CurveConfiguration) -> bool:

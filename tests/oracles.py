@@ -3,8 +3,8 @@
 Each oracle recomputes a quantity along a route the library does not use:
 kernels by unimodular integer column reduction instead of rational RREF,
 cycle ranks by growing a spanning forest, semidefiniteness by signs of all
-principal minors, and reference affine diagrams built directly as
-networkx multigraphs.
+principal minors, reference affine diagrams built directly as networkx
+multigraphs, and isomorphism of configurations by networkx graph matching.
 """
 
 from __future__ import annotations
@@ -169,6 +169,30 @@ def reference_estar(arm_lengths: tuple[int, int, int]) -> nx.MultiGraph:
             g.add_edge(previous, node)
             previous = node
     return g
+
+
+def _incidence_graph(config: CurveConfiguration) -> nx.Graph:
+    """Components and points as vertices that carry every field but the name,
+    with an edge from each point to each of its incident components."""
+    g = nx.Graph()
+    for c in config.components:
+        record = (c.multiplicity, c.geometric_genus, c.self_intersection, tuple(sorted(c.intrinsic)))
+        g.add_node(("c", c.name), record=record)
+    for p in config.points:
+        g.add_node(("p", p.name), record=p.local_type)
+        g.add_edges_from((("p", p.name), ("c", name)) for name in p.incident)
+    return g
+
+
+def isomorphic_configurations(a: CurveConfiguration, b: CurveConfiguration) -> bool:
+    """Equal up to names: a networkx isomorphism of the incidence graphs
+    that preserves multiplicity, genus, self-intersection, intrinsic
+    singularities and local types."""
+    return nx.is_isomorphic(
+        _incidence_graph(a),
+        _incidence_graph(b),
+        node_match=lambda x, y: x["record"] == y["record"],
+    )
 
 
 def relabeled(config: CurveConfiguration, rng: random.Random) -> CurveConfiguration:

@@ -1,3 +1,7 @@
+import gc
+import json
+import weakref
+
 import pytest
 
 from kodaira import (
@@ -13,16 +17,18 @@ from kodaira import (
     arithmetic_genus,
     build,
     catalog_types,
+    classify,
     divisor_square,
     dsg_status,
     euler_characteristic,
     grothendieck_group,
     invariant_profile,
-    is_k_minus_one_regular,
-    k0_shape,
+    loop_rank,
     negative_k,
+    parse_document,
     picard_descriptor,
     reduce,
+    serialize_document,
     singularity_summary,
 )
 
@@ -127,26 +133,25 @@ class TestNegativeK:
             negative_k(build(KodairaType("II")), 0)
 
     @pytest.mark.parametrize("kind", catalog_types(4, 2))
-    def test_k_minus_one_regularity_is_reported(self, kind):
-        assert is_k_minus_one_regular(build(kind))
+    def test_k_minus_one_regularity_is_reported(self, kind, capsys):
+        from kodaira.cli import main
 
-
-class TestK0Shape:
-    def test_smooth_elliptic(self):
-        shape = k0_shape(build(KodairaType("I", 0)))
-        assert shape.h0_rank == 1
-        assert shape.picard == PicardDescriptor(0, 0, 1, 1)
-
-    def test_two_cycle(self):
-        shape = k0_shape(build(KodairaType("I", 2)))
-        assert shape.picard == PicardDescriptor(0, 1, 0, 2)
-
-    def test_istar0(self):
-        shape = k0_shape(build(KodairaType("IStar", 0)))
-        assert shape.picard == PicardDescriptor(1, 0, 0, 5)
+        assert main(["show", str(kind), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["k_minus_one_regular"] is True
 
 
 class TestPicardDescriptor:
+    @pytest.mark.parametrize(
+        "kind,expected",
+        [
+            (KodairaType("I", 0), PicardDescriptor(0, 0, 1, 1)),
+            (KodairaType("I", 2), PicardDescriptor(0, 1, 0, 2)),
+            (KodairaType("IStar", 0), PicardDescriptor(1, 0, 0, 5)),
+        ],
+    )
+    def test_small_fibers(self, kind, expected):
+        assert picard_descriptor(build(kind)) == expected
+
     def test_cuspidal_curve_is_additive(self):
         assert picard_descriptor(build(KodairaType("II"))) == PicardDescriptor(1, 0, 0, 1)
 
@@ -280,3 +285,15 @@ class TestNormalizationCountOracle:
             1 - c.geometric_genus for c in config.components
         ) - len(config.points)
         assert euler_characteristic(config) == by_normalization
+
+
+def test_no_invariant_keeps_its_configuration_alive():
+    """Only `build` and `invariant_profile` memoize, so a parsed
+    configuration is freed once its caller lets go of it."""
+    config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
+    for function in (classify, reduce, loop_rank, euler_characteristic, picard_descriptor):
+        function(config)
+    ref = weakref.ref(config)
+    del config
+    gc.collect()
+    assert ref() is None

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from kodaira import (
     IntrinsicType,
     LocalType,
     SingularPoint,
+    bipartite_graph,
     build,
+    catalog_types,
     classify,
     divisor_square,
     dual_graph,
@@ -25,45 +28,36 @@ from kodaira import (
     radical_basis,
     reduce,
 )
-from oracles import integer_kernel, negative_semidefinite_by_minors, relabeled
+from oracles import (
+    cycle_rank_by_spanning_forest,
+    integer_kernel,
+    isomorphic_configurations,
+    negative_semidefinite_by_minors,
+    relabeled,
+)
+
+_INTRINSIC = st.lists(st.sampled_from([IntrinsicType.NODE, IntrinsicType.CUSP]), max_size=2)
 
 
 @st.composite
 def configurations(draw):
-    """Random valid configurations: connected, arbitrary multiplicities."""
+    """Random valid configurations: connected, arbitrary multiplicities,
+    nodes and cusps on rational components."""
     n = draw(st.integers(1, 5))
-    if n == 1:
+    components = []
+    for i in range(n):
         genus = draw(st.integers(0, 1))
-        intrinsic = ()
-        if genus == 0:
-            intrinsic = tuple(
-                draw(
-                    st.lists(
-                        st.sampled_from([IntrinsicType.NODE, IntrinsicType.CUSP]),
-                        max_size=2,
-                    )
-                )
-            )
-        return CurveConfiguration(
-            (
-                Component(
-                    "c0",
-                    draw(st.integers(1, 3)),
-                    genus,
-                    draw(st.sampled_from([-4, -2, 0, 2])),
-                    intrinsic,
-                ),
+        components.append(
+            Component(
+                f"c{i}",
+                draw(st.integers(1, 3)),
+                genus,
+                draw(st.sampled_from([-4, -2, 0, 2] if n == 1 else [-4, -2, 0])),
+                tuple(draw(_INTRINSIC)) if genus == 0 else (),
             )
         )
-    components = tuple(
-        Component(
-            f"c{i}",
-            draw(st.integers(1, 3)),
-            draw(st.integers(0, 1)),
-            draw(st.sampled_from([-4, -2, 0])),
-        )
-        for i in range(n)
-    )
+    if n == 1:
+        return CurveConfiguration(tuple(components))
     names = [c.name for c in components]
     points = []
     for i in range(1, n):  # random spanning tree keeps it connected
@@ -80,7 +74,7 @@ def configurations(draw):
             continue
         picked = draw(st.permutations(names))[: local.arity]
         points.append(SingularPoint(f"p{len(points)}", local, tuple(picked)))
-    return CurveConfiguration(components, tuple(points))
+    return CurveConfiguration(tuple(components), tuple(points))
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,6 +102,14 @@ def test_reduce_is_idempotent_and_primitive(config):
 @given(configurations())
 def test_loop_rank_ignores_multiplicities(config):
     assert loop_rank(config) == loop_rank(reduce(config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(configurations())
+def test_loop_rank_is_the_cycle_rank_of_roberts_graph(config):
+    """The closed-form count equals the cycle rank of the explicit graph."""
+    graph = bipartite_graph(reduce(config))
+    assert loop_rank(config) == first_betti(graph) == cycle_rank_by_spanning_forest(graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,17 +143,20 @@ _PAIR_WEIGHT = {LocalType.TRANSVERSE: 1, LocalType.TACNODE: 2, LocalType.ORDINAR
 
 
 @st.composite
-def fiber_candidates(draw):
-    """Connected configurations of 1-8 components, multiplicities 1-6.
+def fiber_candidates(
+    draw,
+    kinds=(LocalType.TRANSVERSE, LocalType.TACNODE, LocalType.ORDINARY_TRIPLE),
+    constrained=st.booleans(),
+):
+    """Connected rational configurations of 1-8 components, multiplicities 1-6.
 
-    Points are drawn first. A constrained draw then lowers multiplicities
-    until each m_i divides the off-diagonal part of (M*m)_i, and sets each
-    self-intersection to make M*m = 0; an unconstrained draw takes random
-    self-intersections.
+    Points of the given local types are drawn first. A constrained draw
+    then lowers multiplicities until each m_i divides the off-diagonal part
+    of (M*m)_i, and sets each self-intersection to make M*m = 0; an
+    unconstrained draw takes random self-intersections.
     """
     n = draw(st.integers(1, 8))
     mults = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    kinds = [LocalType.TRANSVERSE, LocalType.TACNODE, LocalType.ORDINARY_TRIPLE]
     incidences = []
     for i in range(1, n):  # join each component to an earlier one
         j = draw(st.integers(0, i - 1))
@@ -175,7 +180,7 @@ def fiber_candidates(draw):
                         sums[a] += _PAIR_WEIGHT[local] * mults[b]
         return sums
 
-    if draw(st.booleans()):  # constrained
+    if draw(constrained):
         # lower each m_i to gcd(m_i, sum) until every division is exact
         while (lowered := [math.gcd(m, s) for m, s in zip(mults, off_diagonal(mults))]) != mults:
             mults = lowered
@@ -233,3 +238,51 @@ def test_fiber_test_is_zariskis_lemma(config):
     if fiber:
         (basis,) = radical_basis(config)
         assert proportional(basis, mult)
+
+
+_TRANSVERSE_TYPES = [
+    t
+    for t in catalog_types(4, 3)
+    if build(t).n_components >= 2
+    and all(p.local_type is LocalType.TRANSVERSE for p in build(t).points)
+]
+
+
+@st.composite
+def scaled_catalog_fibers(draw):
+    """Relabeled catalog cycles and stars with multiplicities scaled by 1-3."""
+    config = relabeled(
+        build(draw(st.sampled_from(_TRANSVERSE_TYPES))),
+        random.Random(draw(st.integers(0, 2**32 - 1))),
+    )
+    k = draw(st.integers(1, 3))
+    return CurveConfiguration(
+        tuple(replace(c, multiplicity=k * c.multiplicity) for c in config.components),
+        config.points,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        fiber_candidates(kinds=(LocalType.TRANSVERSE,), constrained=st.just(True)),
+        scaled_catalog_fibers(),
+    )
+)
+def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
+    """classify(c) is T exactly when c is isomorphic to build(T); the
+    expected type is found by networkx alone, never by the recognizer.
+
+    By Zariski's lemma and the ADE classification, transverse (-2)-curves
+    with M*m = 0 form an affine diagram with m a multiple of its null root,
+    so those are drawn as scaled, relabeled catalog members; the generator
+    adds transverse configurations with M*m = 0 and other squares.
+    """
+    same_size = [
+        t
+        for t in catalog_types(config.n_components, max(config.multiplicities()))
+        if build(t).n_components == config.n_components
+    ]
+    matches = [t for t in same_size if isomorphic_configurations(config, build(t))]
+    assert len(matches) <= 1
+    assert classify(config) == (matches[0] if matches else None)
