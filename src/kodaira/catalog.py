@@ -75,12 +75,12 @@ class KodairaType:
 _SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
 
 _SPEC_PATTERNS: tuple[tuple[re.Pattern[str], str], ...] = (
-    (re.compile(r"^I\((\d+)\)$"), "I"),
-    (re.compile(r"^IStar\((\d+)\)$"), "IStar"),
-    (re.compile(r"^mI\((\d+),(\d+)\)$"), "mI"),
-    (re.compile(r"^I(\d+)\*$"), "IStar"),
-    (re.compile(r"^I(\d+)$"), "I"),
-    (re.compile(r"^(\d+)I(\d+)$"), "mI"),
+    (re.compile(r"^I\(([0-9]+)\)$"), "I"),
+    (re.compile(r"^IStar\(([0-9]+)\)$"), "IStar"),
+    (re.compile(r"^mI\(([0-9]+),([0-9]+)\)$"), "mI"),
+    (re.compile(r"^I([0-9]+)\*$"), "IStar"),
+    (re.compile(r"^I([0-9]+)$"), "I"),
+    (re.compile(r"^([0-9]+)I([0-9]+)$"), "mI"),
 )
 
 

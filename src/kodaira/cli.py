@@ -22,7 +22,7 @@ from .catalog import (
     subclass_of,
 )
 from .curves import ConfigurationError, CurveConfiguration, fiber_obstruction, intersection_matrix
-from .document import DocumentError, parse_document
+from .document import _INTEGER, DocumentError, parse_document
 from .invariants import (
     DsgStatus,
     InvariantProfile,
@@ -76,8 +76,31 @@ _CATALOG_LISTING = [
 ]
 
 
+def _dumps(value: Any, pad: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, each line after the first prefixed by `pad`.
+
+    Before Python 3.13 the stdlib encodes with `indent` in pure Python, one
+    call per list element; here a list of ints formats each distinct entry once.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    # each container is one f-string around one join: `a + b` would copy the text again
+    if value and type(value) is dict and all(type(k) is str for k in value):
+        items = [f"{json.dumps(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    if value and type(value) is list:
+        types = set(map(type, value))
+        if types == {int}:
+            text = {v: str(v) for v in set(value)}
+            return f"[\n{inner}{sep.join(map(text.__getitem__, value))}\n{pad}]"
+        if types <= {list, dict}:
+            return f"[\n{inner}{sep.join([_dumps(v, inner) for v in value])}\n{pad}]"
+    # JSON strings hold no raw newline, so this re-indents exactly
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload))
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -99,9 +122,10 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _matrix_lines(config: CurveConfiguration) -> list[str]:
     entries = intersection_matrix(config).entries
-    # the widest integer is the smallest or the largest one
-    width = max(len(str(min(map(min, entries)))), len(str(max(map(max, entries)))))
-    return ["  [" + " ".join(f"{e:>{width}}" for e in row) + "]" for row in entries]
+    values = set().union(*entries)
+    width = max(len(str(v)) for v in values)
+    cell = {v: f"{v:>{width}}" for v in values}
+    return ["  [" + " ".join(map(cell.__getitem__, row)) + "]" for row in entries]
 
 
 def _singular_locus_text(profile: InvariantProfile) -> str:
@@ -240,9 +264,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     width = max(len(name) for name in names)
     print(" " * width + "".join(f" {name:>{width}}" for name in names))
+    cell = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}
     for name, row in zip(names, table):
-        cells = "".join(f" {_CELL_CHAR[v.kind]:>{width}}" for v in row)
-        print(f"{name:<{width}}" + cells)
+        print(f"{name:<{width}}" + "".join([cell[v.kind] for v in row]))
     return 0
 
 
@@ -262,6 +286,8 @@ def _int_at_least(low: int):
     """argparse type: an int no smaller than `low`."""
 
     def parse(text: str) -> int:
+        if not _INTEGER.fullmatch(text):  # int() would also take "+1", "1_0" and non-ASCII digits
+            raise ValueError(text)
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")

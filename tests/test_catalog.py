@@ -71,7 +71,12 @@ class TestParseType:
     def test_canonical_form_roundtrips(self, kind):
         assert parse_type(str(kind)) == kind
 
-    @pytest.mark.parametrize("text", ["", "W", "I(", "I(x)", "mI(2)", "I**", "Star"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "W", "I(", "I(x)", "mI(2)", "I**", "Star"]
+        # parameters are ASCII digits or the alias subscripts, nothing else int() takes
+        + ["I(٣)", "IStar(１)", "mI(٢,3)", "mI(2,３)", "I٣", "I٣*", "٢I3", "I(1_0)", "I(+1)"],
+    )
     def test_junk_rejected(self, text):
         with pytest.raises(TypeSpecError):
             parse_type(text)

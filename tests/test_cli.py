@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kodaira.cli import main
+from kodaira import KodairaType, build, catalog_types, intersection_matrix
+from kodaira.cli import _dumps, main
 from readme_examples import REPO, readme_console_examples
 
 
@@ -89,6 +92,30 @@ class TestExitCodes:
         assert out == ""
         assert "must be >=" in err
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--max-n", "1_0"),
+            ("--max-n", "١"),
+            ("--max-n", "+1"),
+            ("--max-n", " 1"),
+            ("--max-m", "３"),
+            ("--max-m", "0x2"),
+        ],
+    )
+    def test_matrix_bounds_must_be_ascii_integers(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "matrix", *bounds)
+        assert code == 1
+        assert out == ""
+        assert f"invalid int value: {bounds[1]!r}" in err
+
+    @pytest.mark.parametrize("spec", ["I(٣)", "IStar(１)", "mI(٢,3)", "I٣*"])
+    def test_type_spec_digits_must_be_ascii(self, capsys, spec):
+        code, out, err = run_cli(capsys, "show", spec)
+        assert code == 1
+        assert out == ""
+        assert "cannot parse" in err
+
     def test_empty_component_list_is_a_parse_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.curve"
         empty.write_text("[components]\n")
@@ -170,6 +197,50 @@ class TestJsonOutput:
         assert all(len(row) == n for row in payload["cells"])
         for i in range(n):
             assert payload["cells"][i][i] in ("Isomorphic", "PossiblyEquivalent")
+
+
+_SMALL_INTS = st.integers(min_value=-3, max_value=3)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.lists(_SMALL_INTS)
+    | st.lists(_SMALL_INTS | st.booleans())
+    | st.lists(_SMALL_INTS | st.text(max_size=2)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_is_the_stdlib_encoder(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+_ORACLE_TYPES = catalog_types(8, 3) + [
+    KodairaType("I", 150),
+    KodairaType("IStar", 150),
+    KodairaType("mI", n=150, m=3),
+]
+
+
+@pytest.mark.parametrize("kind", _ORACLE_TYPES, ids=str)
+def test_show_matrix_matches_a_per_cell_rendering(capsys, kind):
+    entries = intersection_matrix(build(kind)).entries
+    width = max(len(str(e)) for row in entries for e in row)
+    expected = "".join("  [" + " ".join(f"{e:>{width}}" for e in row) + "]\n" for row in entries)
+    code, out, _ = run_cli(capsys, "show", str(kind))
+    assert code == 0
+    assert out.split("intersection matrix:\n", 1)[1] == expected
+
+    code, out, _ = run_cli(capsys, "show", str(kind), "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    assert json.loads(out)["intersection_matrix"] == [list(row) for row in entries]
 
 
 class TestStability:
