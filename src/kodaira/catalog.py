@@ -5,8 +5,9 @@ I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
 E~7, E~6. Builders produce explicit configurations; `classify` maps an
-arbitrary configuration back to its type, independently of component order
-and of all labels.
+arbitrary configuration back to its type by reading its sorted
+multiplicities, which for a fiber of (-2)-curves are a multiple of the
+null root of its affine diagram; no component order or label counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .curves import (
     IntrinsicType,
     LocalType,
     SingularPoint,
-    gcd_multiplicity,
     is_fiber_like,
 )
 
@@ -143,15 +143,6 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
     ),
 }
 
-# Arms of multiplicities read outward from the trivalent component.
-_STAR_ARMS: dict[str, tuple[tuple[int, ...], ...]] = {
-    "IIStar": ((5, 4, 3, 2, 1), (4, 2), (3,)),
-    "IIIStar": ((3, 2, 1), (3, 2, 1), (2,)),
-    "IVStar": ((2, 1), (2, 1), (2, 1)),
-}
-
-_STAR_CENTER_MULT = {"IIStar": 6, "IIIStar": 4, "IVStar": 3}
-
 
 def _cycle(n: int, multiplicity: int) -> CurveConfiguration:
     components = tuple(
@@ -223,21 +214,6 @@ def build(kind: KodairaType) -> CurveConfiguration:
     return _from_incidences(*_STAR_DATA[family])
 
 
-def _adjacency(config: CurveConfiguration) -> dict[str, list[str]]:
-    """Dual-graph neighbours of each component, one entry per point.
-
-    The recognizer calls this only once every point is a transverse pair
-    and no component carries an intrinsic singularity, so the points are
-    exactly the edges of the dual graph.
-    """
-    adjacency: dict[str, list[str]] = {c.name: [] for c in config.components}
-    for p in config.points:
-        a, b = p.incident
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return adjacency
-
-
 def _classify_irreducible(config: CurveConfiguration) -> KodairaType | None:
     c = config.components[0]
     mult = c.multiplicity
@@ -250,130 +226,45 @@ def _classify_irreducible(config: CurveConfiguration) -> KodairaType | None:
     return None
 
 
-def _is_single_cycle(config: CurveConfiguration) -> bool:
-    if len(config.points) != config.n_components:
-        return False
-    return all(len(neighbors) == 2 for neighbors in _adjacency(config).values())
-
-
-def _classify_dstar(config: CurveConfiguration) -> KodairaType | None:
-    mults = {c.name: c.multiplicity for c in config.components}
-    ones = [name for name, m in mults.items() if m == 1]
-    twos = [name for name, m in mults.items() if m == 2]
-    if len(ones) != 4 or not twos or len(ones) + len(twos) != config.n_components:
-        return None
-    if len(config.points) != config.n_components - 1:
-        return None  # not a tree
-    adjacency = _adjacency(config)
-    for leaf in ones:
-        neighbors = adjacency[leaf]
-        if len(neighbors) != 1 or mults[neighbors[0]] != 2:
-            return None
-    if len(twos) == 1:
-        hub = twos[0]
-        if sorted(adjacency[hub]) != sorted(ones):
-            return None
-        return KodairaType("IStar", 0)
-    ends = 0
-    for name in twos:
-        inner = [v for v in adjacency[name] if mults[v] == 2]
-        leaves = [v for v in adjacency[name] if mults[v] == 1]
-        if len(inner) == 1 and len(leaves) == 2:
-            ends += 1
-        elif len(inner) == 2 and not leaves:
-            pass
-        else:
-            return None
-    if ends != 2:
-        return None
-    return KodairaType("IStar", len(twos) - 1)
-
-
-def _classify_estar(config: CurveConfiguration) -> KodairaType | None:
-    marks = sorted(config.multiplicities())
-    candidate = next(
-        (
-            family
-            for family, (m, _) in _STAR_DATA.items()
-            if sorted(m) == marks
-        ),
-        None,
-    )
-    if candidate is None:
-        return None
-    if len(config.points) != config.n_components - 1:
-        return None  # not a tree
-    adjacency = _adjacency(config)
-    mults = {c.name: c.multiplicity for c in config.components}
-    centers = [v for v, neighbors in adjacency.items() if len(neighbors) == 3]
-    if len(centers) != 1 or mults[centers[0]] != _STAR_CENTER_MULT[candidate]:
-        return None
-    center = centers[0]
-    arms: list[tuple[int, ...]] = []
-    for start in adjacency[center]:
-        arm = [mults[start]]
-        previous, current = center, start
-        while True:
-            nexts = [v for v in adjacency[current] if v != previous]
-            if not nexts:
-                break
-            if len(nexts) > 1:
-                return None  # a second branch vertex
-            previous, current = current, nexts[0]
-            arm.append(mults[current])
-        arms.append(tuple(arm))
-    if sorted(arms) != sorted(_STAR_ARMS[candidate]):
-        return None
-    return KodairaType(candidate)
-
-
 def classify(config: CurveConfiguration) -> KodairaType | None:
     """Recognize a configuration as a catalog type, or return None.
 
-    The result is independent of component order and of all names: only the
-    isomorphism class of the decorated configuration matters.
+    Only the isomorphism class of the decorated configuration matters. Past
+    the fiber test and the one-component case, the type is read off the
+    sorted multiplicities and the local type of any one point. For smooth
+    rational (-2)-curves with M * m = 0, Zariski's lemma (Barth-Hulek-Peters-
+    Van de Ven, Compact Complex Surfaces, Lemma III.8.2) and Kac
+    (Infinite-Dimensional Lie Algebras, Theorem 4.3 and Table Aff 1) make -M
+    a symmetric affine Cartan matrix and m a multiple k * delta of its null
+    root. The sorted null roots are pairwise distinct:
+
+        A~N       1, ..., 1             I(N), mI(k,N); III, IV if k = 1
+        D~(N+4)   1, 1, 1, 1, 2, ...    IStar(N), with N + 1 twos
+        E~6,7,8   sorted _STAR_DATA     IVStar, IIIStar, IIStar
+
+    A tacnode (an off-diagonal 2) or triple point (a triangle) exists only
+    in A~1 resp. A~2, as its only point. No row is a star scaled by k >= 2.
     """
     if not is_fiber_like(config):
         return None
     if config.n_components == 1:
         return _classify_irreducible(config)
-
-    components = config.components
-    if any(c.geometric_genus != 0 or c.intrinsic for c in components):
+    if any(c.geometric_genus != 0 or c.intrinsic for c in config.components):
         return None
-    if any(c.self_intersection != -2 for c in components):
+    if any(c.self_intersection != -2 for c in config.components):
         return None
-    point_types = {p.local_type for p in config.points}
-
-    if point_types == {LocalType.TACNODE}:
-        if (
-            config.n_components == 2
-            and len(config.points) == 1
-            and config.multiplicities() == (1, 1)
-        ):
-            return KodairaType("III")
-        return None
-    if point_types == {LocalType.ORDINARY_TRIPLE}:
-        if (
-            config.n_components == 3
-            and len(config.points) == 1
-            and config.multiplicities() == (1, 1, 1)
-        ):
-            return KodairaType("IV")
-        return None
-    if point_types != {LocalType.TRANSVERSE}:
-        return None
-
-    mults = set(config.multiplicities())
-    if len(mults) == 1:
-        mult = mults.pop()
-        if not _is_single_cycle(config):
-            return None
+    mults = sorted(config.multiplicities())
+    n, mult = len(mults), mults[0]
+    if mult == mults[-1]:
+        local = config.points[0].local_type
+        if local is LocalType.TRANSVERSE:
+            return KodairaType("I", n) if mult == 1 else KodairaType("mI", n, mult)
         if mult == 1:
-            return KodairaType("I", config.n_components)
-        return KodairaType("mI", config.n_components, mult)
-    if gcd_multiplicity(config) != 1:
+            return KodairaType("III" if local is LocalType.TACNODE else "IV")
         return None
-    if mults == {1, 2}:
-        return _classify_dstar(config)
-    return _classify_estar(config)
+    if mults[:5] == [1, 1, 1, 1, 2] and mults[-1] == 2:
+        return KodairaType("IStar", n - 5)
+    for family, (star, _) in _STAR_DATA.items():
+        if sorted(star) == mults:
+            return KodairaType(family)
+    return None

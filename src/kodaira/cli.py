@@ -80,7 +80,8 @@ def _dumps(value: Any, pad: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, each line after the first prefixed by `pad`.
 
     Before Python 3.13 the stdlib encodes with `indent` in pure Python, one
-    call per list element; here a list of ints formats each distinct entry once.
+    call per list element; here a list of ints and strings encodes each
+    distinct entry once.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -90,8 +91,8 @@ def _dumps(value: Any, pad: str = "") -> str:
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if value and type(value) is list:
         types = set(map(type, value))
-        if types == {int}:
-            text = {v: str(v) for v in set(value)}
+        if types <= {int, str}:
+            text = {v: json.dumps(v) for v in set(value)}
             return f"[\n{inner}{sep.join(map(text.__getitem__, value))}\n{pad}]"
         if types <= {list, dict}:
             return f"[\n{inner}{sep.join([_dumps(v, inner) for v in value])}\n{pad}]"
