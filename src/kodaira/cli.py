@@ -27,7 +27,6 @@ from .invariants import (
     DsgStatus,
     InvariantProfile,
     dsg_status,
-    euler_characteristic,
     invariant_profile,
 )
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
@@ -152,7 +151,7 @@ def cmd_show(args: argparse.Namespace) -> int:
                 "multiplicities": list(config.multiplicities()),
                 "reduced": profile.reduced,
                 "smooth": profile.smooth,
-                "euler_characteristic": euler_characteristic(config),
+                "euler_characteristic": 1 - profile.arithmetic_genus,
                 "arithmetic_genus": profile.arithmetic_genus,
                 "g0_rank": profile.g0_rank,
                 "k_minus_one_rank": profile.k_minus_one_rank,
@@ -177,7 +176,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     print(f"multiplicities: ({', '.join(str(m) for m in config.multiplicities())})")
     print(f"reduced: {'yes' if profile.reduced else 'no'}")
     print(f"smooth: {'yes' if profile.smooth else 'no'}")
-    print(f"euler characteristic: {euler_characteristic(config)}")
+    print(f"euler characteristic: {1 - profile.arithmetic_genus}")
     print(f"arithmetic genus: {profile.arithmetic_genus}")
     print(f"G0 rank: {profile.g0_rank}")
     print(f"K^-1 rank: {profile.k_minus_one_rank}")

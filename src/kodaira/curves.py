@@ -181,17 +181,6 @@ class IntersectionMatrix:
 
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def apply(self, vector: tuple[int, ...]) -> list[int]:
-        if len(vector) != self.size:
-            raise ValueError(
-                f"vector length {len(vector)} does not match matrix size {self.size}"
-            )
-        return [sum(x * v for x, v in zip(row, vector)) for row in self.entries]
-
 
 def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     """(i, j, k): a point adds k to the pairing of distinct components i, j.
@@ -243,19 +232,6 @@ def divisor_square(config: CurveConfiguration, coeffs: tuple[int, ...] | list[in
             f"coefficient vector has length {len(coeffs)}, expected {config.n_components}"
         )
     return sum(v * w for v, w in zip(coeffs, _product(config, coeffs)))
-
-
-def reduce(config: CurveConfiguration) -> CurveConfiguration:
-    """The underlying reduced curve: every multiplicity reset to 1."""
-    if config.is_reduced():
-        return config
-    return CurveConfiguration(
-        components=tuple(
-            Component(c.name, 1, c.geometric_genus, c.self_intersection, c.intrinsic)
-            for c in config.components
-        ),
-        points=config.points,
-    )
 
 
 def gcd_multiplicity(config: CurveConfiguration) -> int:

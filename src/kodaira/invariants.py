@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .catalog import Subclass, classify, subclass_of
 from .curves import CurveConfiguration, divisor_square, fiber_obstruction
-from .graphs import loop_rank
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,26 @@ def grothendieck_group(config: CurveConfiguration) -> FreeAbelianGroup:
     )
 
 
+def loop_rank(config: CurveConfiguration) -> int:
+    """Cycle rank of the branch-incidence graph of the reduced curve.
+
+    The branch-incidence graph (Roberts' bipartite graph) has a vertex for
+    every singular point and for every normalized component, with one edge
+    per branch through the point; its cycle rank is the free rank of the
+    first negative K-group. The graph is connected because the
+    configuration is, so its cycle rank is E - V + 1; a point of arity k
+    adds k edges and one vertex, an intrinsic singularity with b branches
+    adds b edges and one vertex. Multiplicities play no part, so
+    non-reduced input needs no reduction.
+    """
+    return (
+        1
+        - config.n_components
+        + sum(p.local_type.arity - 1 for p in config.points)
+        + sum(s.branches - 1 for c in config.components for s in c.intrinsic)
+    )
+
+
 def negative_k(config: CurveConfiguration, i: int) -> FreeAbelianGroup:
     """K^i for i <= -1: free of rank loop_rank at i = -1, zero below."""
     if i >= 0:
@@ -149,6 +168,17 @@ def negative_k(config: CurveConfiguration, i: int) -> FreeAbelianGroup:
     return FreeAbelianGroup(0)
 
 
+def _picard(config: CurveConfiguration, chi: int) -> PicardDescriptor:
+    elliptic = sum(c.geometric_genus for c in config.components)
+    torus = loop_rank(config)
+    unipotent = 1 - chi - torus - elliptic
+    if unipotent < 0:
+        raise ValueError(
+            "negative unipotent dimension; the configuration is not fiber-like"
+        )
+    return PicardDescriptor(unipotent, torus, elliptic, config.n_components)
+
+
 def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
     """Shape of Pic(X) from the configuration.
 
@@ -157,15 +187,7 @@ def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
     left of h^1(O_X) = 1 - chi (a connected fiber has h^0 = 1). The
     component group is free of rank N.
     """
-    elliptic = sum(c.geometric_genus for c in config.components)
-    torus = loop_rank(config)
-    h1 = 1 - euler_characteristic(config)
-    unipotent = h1 - torus - elliptic
-    if unipotent < 0:
-        raise ValueError(
-            "negative unipotent dimension; the configuration is not fiber-like"
-        )
-    return PicardDescriptor(unipotent, torus, elliptic, config.n_components)
+    return _picard(config, euler_characteristic(config))
 
 
 def is_smooth(config: CurveConfiguration) -> bool:
@@ -204,20 +226,27 @@ def dsg_status(config: CurveConfiguration) -> DsgStatus:
 
 @functools.cache
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
-    """Bundle every invariant of a fiber-like configuration."""
-    obstruction = fiber_obstruction(config)
-    if obstruction is not None:
-        raise ValueError(f"not fiber-like: {obstruction}")
-    summary = singularity_summary(config)
+    """Bundle every invariant of a fiber-like configuration.
+
+    `classify` runs the fiber test, so its obstruction is asked for only
+    when no type is recognized; chi and the loop rank are computed once.
+    """
     kind = classify(config)
+    if kind is None:
+        obstruction = fiber_obstruction(config)
+        if obstruction is not None:
+            raise ValueError(f"not fiber-like: {obstruction}")
+    chi = euler_characteristic(config)
+    g0_rank = grothendieck_group(config).rank
+    picard = _picard(config, chi)
     return InvariantProfile(
         n_components=config.n_components,
-        arithmetic_genus=arithmetic_genus(config),
-        g0_rank=grothendieck_group(config).rank,
-        k_minus_one_rank=loop_rank(config),
-        picard=picard_descriptor(config),
+        arithmetic_genus=1 - chi,
+        g0_rank=g0_rank,
+        k_minus_one_rank=picard.torus_rank,
+        picard=picard,
         reduced=config.is_reduced(),
         smooth=is_smooth(config),
-        singular_point_count=summary.count,
+        singular_point_count=singularity_summary(config).count,
         subclass=subclass_of(kind) if kind is not None else None,
     )

@@ -5,17 +5,21 @@ kernels by unimodular integer column reduction instead of rational RREF,
 cycle ranks by growing a spanning forest, semidefiniteness by signs of all
 principal minors, reference affine diagrams built directly as networkx
 multigraphs, and isomorphism of configurations by networkx graph matching.
+The dual graph and Roberts' branch-incidence graph of a configuration are
+networkx multigraphs too; the library reads what it needs of them off the
+records in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 
-from kodaira import Component, CurveConfiguration, Multigraph, SingularPoint
+from kodaira import Component, CurveConfiguration, IntrinsicType, SingularPoint
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -105,31 +109,78 @@ def negative_semidefinite_by_minors(matrix) -> bool:
     return True
 
 
-def cycle_rank_by_spanning_forest(graph: Multigraph) -> int:
-    """Edges left over after growing a spanning forest."""
-    parent = {v: v for v in graph.vertices}
+def reduce(config: CurveConfiguration) -> CurveConfiguration:
+    """The underlying reduced curve: every multiplicity reset to 1."""
+    return CurveConfiguration(
+        tuple(replace(c, multiplicity=1) for c in config.components), config.points
+    )
 
-    def find(v: str) -> str:
+
+def dual_graph(config: CurveConfiguration) -> nx.MultiGraph:
+    """One vertex per component, one edge per intersection incidence.
+
+    A transverse point or a tacnode joins its two components by a single
+    edge, an ordinary triple point joins each of its three pairs, and a
+    node intrinsic to one component becomes a self-loop there. A cusp has a
+    single branch and contributes no edge.
+    """
+    g = nx.MultiGraph()
+    g.add_nodes_from(c.name for c in config.components)
+    for p in config.points:
+        g.add_edges_from(itertools.combinations(p.incident, 2))
+    for c in config.components:
+        g.add_edges_from((c.name, c.name) for s in c.intrinsic if s is IntrinsicType.NODE)
+    return g
+
+
+def bipartite_graph(config: CurveConfiguration) -> nx.MultiGraph:
+    """Roberts' graph: singular points vs. normalized components.
+
+    Every branch through a singular point contributes one edge from the
+    point to the component the branch lies on: two edges per transverse
+    point or tacnode, three per triple point, two parallel edges for an
+    intrinsic node, one for a cusp. Vertices are ("c", component),
+    ("p", point) and ("i", component, k) for the k-th intrinsic singularity.
+    """
+    g = nx.MultiGraph()
+    g.add_nodes_from(("c", c.name) for c in config.components)
+    for p in config.points:
+        g.add_node(("p", p.name))
+        g.add_edges_from((("p", p.name), ("c", name)) for name in p.incident)
+    for c in config.components:
+        for k, s in enumerate(c.intrinsic):
+            g.add_node(("i", c.name, k))
+            g.add_edges_from([(("i", c.name, k), ("c", c.name))] * s.branches)
+    return g
+
+
+def first_betti(graph: nx.MultiGraph) -> int:
+    """Cycle rank: |edges| - |vertices| + number of connected components."""
+    return (
+        graph.number_of_edges()
+        - graph.number_of_nodes()
+        + nx.number_connected_components(graph)
+    )
+
+
+def cycle_rank_by_spanning_forest(graph: nx.MultiGraph) -> int:
+    """Edges left over after growing a spanning forest."""
+    parent = {v: v for v in graph.nodes}
+
+    def find(v):
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
     extra = 0
-    for a, b in graph.edges:
+    for a, b in graph.edges():
         ra, rb = find(a), find(b)
         if ra == rb:
             extra += 1
         else:
             parent[ra] = rb
     return extra
-
-
-def to_networkx(graph: Multigraph) -> nx.MultiGraph:
-    g = nx.MultiGraph()
-    g.add_nodes_from(graph.vertices)
-    g.add_edges_from(graph.edges)
-    return g
 
 
 def reference_cycle(n: int) -> nx.MultiGraph:

