@@ -26,7 +26,7 @@ from .document import _INTEGER, DocumentError, parse_document
 from .invariants import (
     DsgStatus,
     InvariantProfile,
-    dsg_status,
+    _dsg_status,
     invariant_profile,
 )
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
@@ -141,7 +141,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     kind = parse_type(args.type)
     config = build(kind)
     profile = invariant_profile(config)
-    status = dsg_status(config)
+    status = _dsg_status(profile.smooth, profile.k_minus_one_rank)
     if args.format == "json":
         _emit_json(
             {

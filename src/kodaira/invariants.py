@@ -210,6 +210,14 @@ def singularity_summary(config: CurveConfiguration) -> SingularitySummary:
     return SingularitySummary(True, count)
 
 
+def _dsg_status(smooth: bool, k_minus_one_rank: int) -> DsgStatus:
+    if smooth:
+        return DsgStatus.TRIVIAL
+    if k_minus_one_rank == 0:
+        return DsgStatus.IDEMPOTENT_COMPLETE
+    return DsgStatus.UNKNOWN
+
+
 def dsg_status(config: CurveConfiguration) -> DsgStatus:
     """Status of the singularity category D_sg = D^b/Perf.
 
@@ -217,11 +225,7 @@ def dsg_status(config: CurveConfiguration) -> DsgStatus:
     forces the Verdier quotient to be idempotent complete; otherwise the
     question stays open.
     """
-    if is_smooth(config):
-        return DsgStatus.TRIVIAL
-    if loop_rank(config) == 0:
-        return DsgStatus.IDEMPOTENT_COMPLETE
-    return DsgStatus.UNKNOWN
+    return _dsg_status(is_smooth(config), loop_rank(config))
 
 
 @functools.cache

@@ -8,8 +8,11 @@ coincide and the curves are isomorphic (a reduced fiber has no partner
 but itself). For non-reduced or multiple fibers no converse is known, so
 agreement only yields "possibly equivalent".
 
-`compare` and `partner_matrix` share one ordered table of checks; the matrix
-computes one profile per type and takes every cell from its row of values.
+`compare` and `partner_matrix` share one ordered table of checks and one
+witness builder. The matrix computes one profile per type and numbers its
+distinct rows of check values. Each check fills one table over pairs of its
+own distinct values, so a witness is built once per check and pair of
+values, and the cell of two distinct rows joins their entries in check order.
 """
 
 from __future__ import annotations
@@ -73,14 +76,32 @@ def _row(profile: InvariantProfile) -> tuple:
     return tuple(get(profile) for _, get in _CHECKS)
 
 
-def _not_equivalent(rx: tuple, ry: tuple) -> PartnerVerdict:
-    """NotEquivalent with every witness two rows give; equal rows give none."""
-    witnesses = tuple(
-        Witness(name, str(a), str(b))
-        for (name, _), a, b in zip(_CHECKS, rx, ry)
-        if a != b and a is not None and b is not None
-    )
-    return PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses)
+def _not_equivalent(rows: Sequence[tuple]) -> list[list[PartnerVerdict]]:
+    """NotEquivalent for every ordered pair of rows, with every witness the pair gives.
+
+    Each check numbers its distinct values and fills one table over pairs of
+    values: a cell is empty when the two values agree or either is None, and
+    otherwise holds the one witness. The verdict for two rows joins their
+    cells in check order, so equal rows give no witness.
+    """
+    by_check = []
+    for (name, _), values in zip(_CHECKS, zip(*rows)):
+        numbers = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        table = [
+            [
+                () if a == b or a is None or b is None else (Witness(name, str(a), str(b)),)
+                for b in numbers
+            ]
+            for a in numbers
+        ]
+        index = [numbers[v] for v in values]
+        # per value, its cells against every row in row order
+        against_rows = [[cells[j] for j in index] for cells in table]
+        by_check.append([against_rows[i] for i in index])
+    return [
+        [PartnerVerdict(VerdictKind.NOT_EQUIVALENT, sum(cells, ())) for cells in zip(*row)]
+        for row in zip(*by_check)
+    ]
 
 
 def _agreeing(x: CurveConfiguration, y: CurveConfiguration, subclass: Subclass | None) -> PartnerVerdict:
@@ -98,7 +119,7 @@ def _agreeing(x: CurveConfiguration, y: CurveConfiguration, subclass: Subclass |
 def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     """Compare every invariant, in a fixed order, and issue a verdict."""
     px, py = invariant_profile(x), invariant_profile(y)
-    verdict = _not_equivalent(_row(px), _row(py))
+    verdict = _not_equivalent([_row(px), _row(py)])[0][1]
     return verdict if verdict.witnesses else _agreeing(x, y, px.subclass)
 
 
@@ -113,7 +134,7 @@ def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
     profiles = [invariant_profile(c) for c in configs]
     numbers: dict[tuple, int] = {}
     rows = [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
-    differing = [[_not_equivalent(a, b) for b in numbers] for a in numbers]
+    differing = _not_equivalent(list(numbers))
     return [
         [
             _agreeing(x, y, px.subclass) if rx == ry else differing[rx][ry]

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira import KodairaType, build, catalog_types, intersection_matrix
-from kodaira.cli import _dumps, main
+from kodaira import (
+    KodairaType,
+    build,
+    catalog_types,
+    dsg_status,
+    intersection_matrix,
+    invariant_profile,
+    invariants,
+)
+from kodaira.cli import _DSG_TEXT, _dumps, main
 from readme_examples import REPO, readme_console_examples
 
 
@@ -241,6 +249,35 @@ def test_show_matrix_matches_a_per_cell_rendering(capsys, kind):
     assert code == 0
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
     assert json.loads(out)["intersection_matrix"] == [list(row) for row in entries]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [KodairaType("I", n) for n in (0, 1, 5)]
+    + [KodairaType("II"), KodairaType("IV"), KodairaType("IStar", 2), KodairaType("mI", 4, 3)],
+    ids=str,
+)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
+    """D_sg is read off the profile's smooth flag and K^-1 rank, so `show`
+    with a cold profile cache runs `loop_rank` once."""
+    loop_rank = invariants.loop_rank
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return loop_rank(config)
+
+    monkeypatch.setattr(invariants, "loop_rank", counted)
+    invariant_profile.cache_clear()
+    code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
+    status = dsg_status(build(kind))
+    if fmt == "json":
+        assert json.loads(out)["dsg_status"] == status.value
+    else:
+        assert f"D_sg: {_DSG_TEXT[status]}\n" in out
 
 
 class TestStability:

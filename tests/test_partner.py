@@ -1,13 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kodaira import (
     Component,
     CurveConfiguration,
     KodairaType,
+    PartnerVerdict,
     Subclass,
     VerdictKind,
+    Witness,
     build,
     catalog_types,
     compare,
@@ -21,6 +25,19 @@ L1_SAMPLE = [KodairaType("I", n) for n in range(7)] + [
     KodairaType("III"),
     KodairaType("IV"),
 ]
+
+
+# Each check's value read straight off the profile fields, in witness order.
+CHECK_VALUES = {
+    "arithmetic genus": lambda p: p.arithmetic_genus,
+    "G0 rank": lambda p: p.g0_rank,
+    "K^-1 rank": lambda p: p.k_minus_one_rank,
+    "Picard identity component": lambda p: p.picard.identity_component_label(),
+    "Picard discrete rank": lambda p: p.picard.discrete_rank,
+    "isolated singularities": lambda p: "yes" if p.reduced else "no",
+    "singular point count": lambda p: p.singular_point_count,
+    "subclass": lambda p: p.subclass.value if p.subclass else "unclassified",
+}
 
 
 def witness_names(verdict):
@@ -130,23 +147,13 @@ class TestVerdictStructure:
         assert compare(build(kind), build(kind)).kind is not VerdictKind.NOT_EQUIVALENT
 
     def test_witness_values_are_reassertable(self):
-        getters = {
-            "arithmetic genus": lambda p: str(p.arithmetic_genus),
-            "G0 rank": lambda p: str(p.g0_rank),
-            "K^-1 rank": lambda p: str(p.k_minus_one_rank),
-            "Picard identity component": lambda p: p.picard.identity_component_label(),
-            "Picard discrete rank": lambda p: str(p.picard.discrete_rank),
-            "isolated singularities": lambda p: "yes" if p.reduced else "no",
-            "singular point count": lambda p: str(p.singular_point_count),
-            "subclass": lambda p: p.subclass.value if p.subclass else "unclassified",
-        }
         for a, b in itertools.combinations(catalog_types(4, 3), 2):
             verdict = compare(build(a), build(b))
             pa, pb = invariant_profile(build(a)), invariant_profile(build(b))
             for witness in verdict.witnesses:
-                getter = getters[witness.invariant]
-                assert getter(pa) == witness.left
-                assert getter(pb) == witness.right
+                getter = CHECK_VALUES[witness.invariant]
+                assert str(getter(pa)) == witness.left
+                assert str(getter(pb)) == witness.right
                 assert witness.left != witness.right
 
 
@@ -198,3 +205,31 @@ class TestPartnerMatrix:
         assert invariant_profile(build(mi25)) == invariant_profile(build(mi35))
         assert cell(mi25, mi35).kind is VerdictKind.POSSIBLY_EQUIVALENT
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
+
+
+_II, _III, _IV = KodairaType("II"), KodairaType("III"), KodairaType("IV")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(catalog_types(12, 5)), min_size=1, max_size=12))
+@example([_II, _III, _IV, KodairaType("mI", 1, 2), KodairaType("mI", 1, 5), _III, _II])
+def test_matrix_cells_are_compare_verdicts_with_the_profiles_witnesses(types):
+    """Every cell is the whole `compare` verdict, and its witnesses are the
+    checks whose profile values differ, both defined, left value first."""
+    table = partner_matrix(types)
+    assert len(table) == len(types)
+    for row, a in zip(table, types):
+        assert len(row) == len(types)
+        pa = invariant_profile(build(a))
+        for verdict, b in zip(row, types):
+            assert verdict == compare(build(a), build(b)), (a, b)
+            pb = invariant_profile(build(b))
+            witnesses = tuple(
+                Witness(name, str(value(pa)), str(value(pb)))
+                for name, value in CHECK_VALUES.items()
+                if value(pa) != value(pb) and None not in (value(pa), value(pb))
+            )
+            if witnesses:
+                assert verdict == PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses), (a, b)
+            else:
+                assert verdict.kind is not VerdictKind.NOT_EQUIVALENT, (a, b)

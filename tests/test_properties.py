@@ -284,11 +284,17 @@ def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(configurations(), fiber_candidates(constrained=st.just(True))))
 @example(build(KodairaType("mI", 1, 3)))
+@example(build(KodairaType("I", 0)))
+@example(build(KodairaType("mI", 0, 2)))
 @example(CurveConfiguration((Component("c", 1, 0, 0, (IntrinsicType.NODE, IntrinsicType.CUSP)),)))
 def test_profile_fields_against_oracles(config):
-    """invariant_profile reports "not fiber-like" exactly when M*m != 0; a
-    profile it returns has the cycle rank of Roberts' graph as K^-1 rank,
-    and g_a = 1 + m.Mm/2, or g + sum of deltas on one singular component."""
+    """invariant_profile reports "not fiber-like" exactly when M*m != 0. A
+    profile it returns has the cycle rank of Roberts' graph as K^-1 and
+    torus rank; chi = -m.Mm/2, or 1 - g - sum of deltas on one singular
+    component, gives g_a = 1 - chi and the unipotent dimension
+    1 - chi - torus - elliptic; the elliptic rank is the sum of the genera,
+    the discrete rank the component count, and G0 has rank components + 1
+    over rational components and 2 over one genus-1 component."""
     mult = config.multiplicities()
     product = [sum(x * v for x, v in zip(row, mult)) for row in dense_matrix(config)]
     try:
@@ -297,10 +303,21 @@ def test_profile_fields_against_oracles(config):
         assert (str(error) == "not fiber-like: M*m != 0") == any(product)
         return
     assert not any(product)
-    graph = bipartite_graph(reduce(config))
-    assert profile.k_minus_one_rank == cycle_rank_by_spanning_forest(graph)
+    torus = cycle_rank_by_spanning_forest(bipartite_graph(reduce(config)))
+    genera = [c.geometric_genus for c in config.components]
     first, *rest = config.components
     if first.intrinsic and not rest:
-        assert profile.arithmetic_genus == first.geometric_genus + len(first.intrinsic)
+        chi = 1 - first.geometric_genus - len(first.intrinsic)
     else:
-        assert profile.arithmetic_genus == 1 + sum(v * w for v, w in zip(mult, product)) // 2
+        chi = -(sum(v * w for v, w in zip(mult, product)) // 2)
+    assert profile.k_minus_one_rank == torus
+    assert profile.arithmetic_genus == 1 - chi
+    assert profile.picard.torus_rank == torus
+    assert profile.picard.elliptic_rank == sum(genera)
+    assert profile.picard.discrete_rank == len(config.components)
+    assert profile.picard.unipotent_dim == 1 - chi - torus - sum(genera)
+    if all(g == 0 for g in genera):
+        assert profile.g0_rank == len(config.components) + 1
+    else:
+        assert genera == [1]
+        assert profile.g0_rank == 2
