@@ -11,24 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from dataclasses import asdict
+from typing import Any, Iterator
 
-from .catalog import (
-    TypeSpecError,
-    build,
-    catalog_types,
-    classify,
-    parse_type,
-    subclass_of,
-)
-from .curves import ConfigurationError, CurveConfiguration, fiber_obstruction, intersection_matrix
+from .catalog import TypeSpecError, build, catalog_types, classify, parse_type
+from .curves import ConfigurationError, fiber_obstruction, intersection_matrix
 from .document import _INTEGER, DocumentError, parse_document
-from .invariants import (
-    DsgStatus,
-    InvariantProfile,
-    _dsg_status,
-    invariant_profile,
-)
+from .invariants import DsgStatus, invariant_profile
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
 
 _DSG_TEXT = {
@@ -79,8 +68,8 @@ def _dumps(value: Any, pad: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, each line after the first prefixed by `pad`.
 
     Before Python 3.13 the stdlib encodes with `indent` in pure Python, one
-    call per list element; here a list of ints and strings encodes each
-    distinct entry once.
+    call per list element; here a list (or tuple) of ints and strings
+    encodes each distinct entry once.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -88,12 +77,12 @@ def _dumps(value: Any, pad: str = "") -> str:
     if value and type(value) is dict and all(type(k) is str for k in value):
         items = [f"{json.dumps(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if value and type(value) is list:
+    if value and type(value) in (list, tuple):
         types = set(map(type, value))
         if types <= {int, str}:
             text = {v: json.dumps(v) for v in set(value)}
             return f"[\n{inner}{sep.join(map(text.__getitem__, value))}\n{pad}]"
-        if types <= {list, dict}:
+        if types <= {list, tuple, dict}:
             return f"[\n{inner}{sep.join([_dumps(v, inner) for v in value])}\n{pad}]"
     # JSON strings hold no raw newline, so this re-indents exactly
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
@@ -120,75 +109,57 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_lines(config: CurveConfiguration) -> list[str]:
-    entries = intersection_matrix(config).entries
+def _matrix_lines(entries: tuple[tuple[int, ...], ...]) -> Iterator[str]:
     values = set().union(*entries)
     width = max(len(str(v)) for v in values)
     cell = {v: f"{v:>{width}}" for v in values}
-    return ["  [" + " ".join(map(cell.__getitem__, row)) + "]" for row in entries]
-
-
-def _singular_locus_text(profile: InvariantProfile) -> str:
-    if profile.smooth:
-        return "empty (smooth curve)"
-    if profile.reduced:
-        count = profile.singular_point_count
-        return f"{count} isolated point" + ("s" if count != 1 else "")
-    return "the whole curve (non-reduced)"
+    for row in entries:
+        yield "  [" + " ".join(map(cell.__getitem__, row)) + "]"
 
 
 def cmd_show(args: argparse.Namespace) -> int:
     kind = parse_type(args.type)
     config = build(kind)
-    profile = invariant_profile(config)
-    status = _dsg_status(profile.smooth, profile.k_minus_one_rank)
+    p = invariant_profile(config)
+    chi, count, status = 1 - p.arithmetic_genus, p.singular_point_count, p.dsg_status
+    if p.smooth:
+        locus = "empty (smooth curve)"
+    elif count is None:
+        locus = "the whole curve (non-reduced)"
+    else:
+        locus = f"{count} isolated point" + ("s" if count != 1 else "")
+    mults, matrix = config.multiplicities(), intersection_matrix(config)
+    # (text label, text value, JSON key, JSON value) in text order; no key
+    # means text only. The matrix text is a generator of lines, so JSON
+    # output never formats them.
+    rows: list[tuple[str, Any, str | None, Any]] = [
+        ("type", str(kind), "type", str(kind)),
+        ("subclass", p.subclass.value, "subclass", p.subclass.value),
+        ("components", str(p.n_components), "components", p.n_components),
+        ("multiplicities", f"({', '.join(map(str, mults))})", "multiplicities", mults),
+        ("reduced", "yes" if p.reduced else "no", "reduced", p.reduced),
+        ("smooth", "yes" if p.smooth else "no", "smooth", p.smooth),
+        ("euler characteristic", str(chi), "euler_characteristic", chi),
+        ("arithmetic genus", str(p.arithmetic_genus), "arithmetic_genus", p.arithmetic_genus),
+        ("G0 rank", str(p.g0_rank), "g0_rank", p.g0_rank),
+        ("K^-1 rank", str(p.k_minus_one_rank), "k_minus_one_rank", p.k_minus_one_rank),
+        ("K^i rank for i <= -2", "0", None, None),
+        # every curve is K^-1-regular: Weibel's conjecture is a theorem in dimension 1
+        ("K^-1-regular", "yes", "k_minus_one_regular", True),
+        ("Pic", p.picard.describe(), "picard", asdict(p.picard)),
+        ("singular locus", locus, "singular_point_count", count),
+        ("dualising sheaf", "trivial", "dualising_sheaf", "trivial"),
+        ("D_sg", _DSG_TEXT[status], "dsg_status", status.value),
+        ("intersection matrix", _matrix_lines(matrix), "intersection_matrix", matrix),
+    ]
     if args.format == "json":
-        _emit_json(
-            {
-                "type": str(kind),
-                "subclass": subclass_of(kind).value,
-                "components": profile.n_components,
-                "multiplicities": list(config.multiplicities()),
-                "reduced": profile.reduced,
-                "smooth": profile.smooth,
-                "euler_characteristic": 1 - profile.arithmetic_genus,
-                "arithmetic_genus": profile.arithmetic_genus,
-                "g0_rank": profile.g0_rank,
-                "k_minus_one_rank": profile.k_minus_one_rank,
-                # every curve is K^-1-regular: Weibel's conjecture is a theorem in dimension 1
-                "k_minus_one_regular": True,
-                "picard": {
-                    "unipotent_dim": profile.picard.unipotent_dim,
-                    "torus_rank": profile.picard.torus_rank,
-                    "elliptic_rank": profile.picard.elliptic_rank,
-                    "discrete_rank": profile.picard.discrete_rank,
-                },
-                "singular_point_count": profile.singular_point_count,
-                "dualising_sheaf": "trivial",
-                "dsg_status": status.value,
-                "intersection_matrix": [list(r) for r in intersection_matrix(config).entries],
-            }
-        )
+        _emit_json({key: value for _, _, key, value in rows if key is not None})
         return 0
-    print(f"type: {kind}")
-    print(f"subclass: {subclass_of(kind).value}")
-    print(f"components: {profile.n_components}")
-    print(f"multiplicities: ({', '.join(str(m) for m in config.multiplicities())})")
-    print(f"reduced: {'yes' if profile.reduced else 'no'}")
-    print(f"smooth: {'yes' if profile.smooth else 'no'}")
-    print(f"euler characteristic: {1 - profile.arithmetic_genus}")
-    print(f"arithmetic genus: {profile.arithmetic_genus}")
-    print(f"G0 rank: {profile.g0_rank}")
-    print(f"K^-1 rank: {profile.k_minus_one_rank}")
-    print("K^i rank for i <= -2: 0")
-    print("K^-1-regular: yes")
-    print(f"Pic: {profile.picard.describe()}")
-    print(f"singular locus: {_singular_locus_text(profile)}")
-    print("dualising sheaf: trivial")
-    print(f"D_sg: {_DSG_TEXT[status]}")
-    print("intersection matrix:")
-    for line in _matrix_lines(config):
-        print(line)
+    for label, text, _, _ in rows:
+        if isinstance(text, str):
+            print(f"{label}: {text}")
+        else:
+            print(f"{label}:", *text, sep="\n")
     return 0
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 
@@ -175,13 +174,6 @@ class CurveConfiguration:
         return all(c.multiplicity == 1 for c in self.components)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    """Symmetric pairing of the components, in component order."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-
 def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     """(i, j, k): a point adds k to the pairing of distinct components i, j.
 
@@ -208,8 +200,8 @@ def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:
     return product
 
 
-def intersection_matrix(config: CurveConfiguration) -> IntersectionMatrix:
-    """Pairwise intersection numbers of the components.
+def intersection_matrix(config: CurveConfiguration) -> tuple[tuple[int, ...], ...]:
+    """Pairwise intersection numbers of the components, as a tuple of rows.
 
     The diagonal holds the self-intersections; off the diagonal, every
     point adds its local contribution to each pair of its incident
@@ -222,7 +214,10 @@ def intersection_matrix(config: CurveConfiguration) -> IntersectionMatrix:
     for i, j, k in _pairings(config):
         m[i][j] += k
         m[j][i] += k
-    return IntersectionMatrix(tuple(tuple(row) for row in m))
+    # freeze each row in place: a row is held twice only while it is copied
+    for i, row in enumerate(m):
+        m[i] = tuple(row)
+    return tuple(m)
 
 
 def divisor_square(config: CurveConfiguration, coeffs: tuple[int, ...] | list[int]) -> int:
@@ -265,8 +260,8 @@ def is_fiber_like(config: CurveConfiguration) -> bool:
     return fiber_obstruction(config) is None
 
 
-def radical_basis(config: CurveConfiguration) -> list[list[Fraction]]:
-    """Rational basis of the kernel of the intersection matrix of a fiber.
+def radical_basis(config: CurveConfiguration) -> list[list[int]]:
+    """Integer basis of the kernel of the intersection matrix of a fiber.
 
     For a fiber-like configuration Zariski's lemma makes the kernel the
     line spanned by the multiplicity vector m, so the basis is the single
@@ -277,4 +272,4 @@ def radical_basis(config: CurveConfiguration) -> list[list[Fraction]]:
     if obstruction is not None:
         raise ValueError(f"not fiber-like: {obstruction}")
     g = gcd_multiplicity(config)
-    return [[Fraction(x, g) for x in config.multiplicities()]]
+    return [[x // g for x in config.multiplicities()]]

@@ -6,16 +6,18 @@ Grothendieck group of coherent sheaves, the negative K-groups, the
 group-scheme shape of the Picard scheme, the isolated-singularity data and
 the idempotent-completeness status of the singularity category. All of it
 is exact integer arithmetic on the configuration.
+
+`invariant_profile` bundles these into one record, which also carries the
+recognized catalog type; the CLI and the partner checks read that record.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
-from .catalog import Subclass, classify, subclass_of
+from .catalog import KodairaType, Subclass, classify, subclass_of
 from .curves import CurveConfiguration, divisor_square, fiber_obstruction
 
 
@@ -65,20 +67,25 @@ class PicardDescriptor:
         return f"extension of Z^{self.discrete_rank} by {self.identity_component_label()}"
 
 
-class SingularitySummary(NamedTuple):
-    isolated: bool
-    count: int | None
-
-
 class DsgStatus(str, Enum):
     TRIVIAL = "trivial_singularity_category"
     IDEMPOTENT_COMPLETE = "idempotent_complete"
     UNKNOWN = "unknown"
 
+    @classmethod
+    def of(cls, smooth: bool, k_minus_one_rank: int) -> DsgStatus:
+        """Smooth curves have a trivial singularity category; vanishing of
+        K^-1 forces the Verdier quotient to be idempotent complete; otherwise
+        the question stays open."""
+        if smooth:
+            return cls.TRIVIAL
+        return cls.IDEMPOTENT_COMPLETE if k_minus_one_rank == 0 else cls.UNKNOWN
+
 
 @dataclass(frozen=True)
 class InvariantProfile:
-    """The full tuple of invariants preserved by a derived equivalence."""
+    """The full tuple of invariants preserved by a derived equivalence,
+    with the recognized catalog type beside them."""
 
     n_components: int
     arithmetic_genus: int
@@ -89,6 +96,13 @@ class InvariantProfile:
     smooth: bool
     singular_point_count: int | None  # present exactly when reduced
     subclass: Subclass | None  # present exactly when the curve classifies
+    # uncompared: the type is not a derived invariant, and IStar(4) and IIStar share a profile
+    kind: KodairaType | None = field(compare=False)
+
+    @property
+    def dsg_status(self) -> DsgStatus:
+        """Status of the singularity category D_sg = D^b/Perf; see `DsgStatus.of`."""
+        return DsgStatus.of(self.smooth, self.k_minus_one_rank)
 
 
 def euler_characteristic(config: CurveConfiguration) -> int:
@@ -190,50 +204,33 @@ def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
     return _picard(config, euler_characteristic(config))
 
 
-def is_smooth(config: CurveConfiguration) -> bool:
-    return (
-        config.is_reduced()
-        and not config.points
-        and not any(c.intrinsic for c in config.components)
-    )
+def _singular_point_count(config: CurveConfiguration) -> int | None:
+    """Meeting points plus intrinsic singularities of a reduced curve; 0 when smooth.
 
-
-def singularity_summary(config: CurveConfiguration) -> SingularitySummary:
-    """Isolated-singularity flag and, for reduced curves, the point count.
-
-    A non-reduced curve is singular along the whole curve, so no count is
-    reported for it.
+    A non-reduced curve is singular along the whole curve, so it has no
+    isolated singular points to count: None.
     """
     if not config.is_reduced():
-        return SingularitySummary(False, None)
-    count = len(config.points) + sum(len(c.intrinsic) for c in config.components)
-    return SingularitySummary(True, count)
-
-
-def _dsg_status(smooth: bool, k_minus_one_rank: int) -> DsgStatus:
-    if smooth:
-        return DsgStatus.TRIVIAL
-    if k_minus_one_rank == 0:
-        return DsgStatus.IDEMPOTENT_COMPLETE
-    return DsgStatus.UNKNOWN
+        return None
+    return len(config.points) + sum(len(c.intrinsic) for c in config.components)
 
 
 def dsg_status(config: CurveConfiguration) -> DsgStatus:
-    """Status of the singularity category D_sg = D^b/Perf.
+    """Status of the singularity category D_sg = D^b/Perf; see `DsgStatus.of`.
 
-    Smooth curves have a trivial singularity category; vanishing of K^-1
-    forces the Verdier quotient to be idempotent complete; otherwise the
-    question stays open.
+    Defined on any configuration, fiber or not, and kept off the profile
+    cache so that the configuration is not kept alive.
     """
-    return _dsg_status(is_smooth(config), loop_rank(config))
+    return DsgStatus.of(_singular_point_count(config) == 0, loop_rank(config))
 
 
 @functools.cache
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
-    """Bundle every invariant of a fiber-like configuration.
+    """Bundle every invariant of a fiber-like configuration, and its type.
 
     `classify` runs the fiber test, so its obstruction is asked for only
     when no type is recognized; chi and the loop rank are computed once.
+    The recognized type is kept as `kind`, so no reader classifies again.
     """
     kind = classify(config)
     if kind is None:
@@ -243,14 +240,16 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     chi = euler_characteristic(config)
     g0_rank = grothendieck_group(config).rank
     picard = _picard(config, chi)
+    count = _singular_point_count(config)
     return InvariantProfile(
         n_components=config.n_components,
         arithmetic_genus=1 - chi,
         g0_rank=g0_rank,
         k_minus_one_rank=picard.torus_rank,
         picard=picard,
-        reduced=config.is_reduced(),
-        smooth=is_smooth(config),
-        singular_point_count=singularity_summary(config).count,
+        reduced=count is not None,
+        smooth=count == 0,
+        singular_point_count=count,
         subclass=subclass_of(kind) if kind is not None else None,
+        kind=kind,
     )

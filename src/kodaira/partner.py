@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .catalog import KodairaType, Subclass, build, classify
+from .catalog import KodairaType, Subclass, build
 from .curves import CurveConfiguration
 from .invariants import InvariantProfile, invariant_profile
 
@@ -60,6 +60,8 @@ _NO_CONVERSE_NOTE = "all computed necessary conditions agree; no converse is kno
 
 # The checks in witness order. A check whose getter returns None on either
 # side is skipped: the singular point count exists only for reduced curves.
+# The profile's recognized type is no check, since it is not an invariant:
+# `_agreeing` reads it only once every row here agrees.
 _CHECKS: tuple[tuple[str, Callable[[InvariantProfile], object]], ...] = (
     ("arithmetic genus", lambda p: p.arithmetic_genus),
     ("G0 rank", lambda p: p.g0_rank),
@@ -104,15 +106,14 @@ def _not_equivalent(rows: Sequence[tuple]) -> list[list[PartnerVerdict]]:
     ]
 
 
-def _agreeing(x: CurveConfiguration, y: CurveConfiguration, subclass: Subclass | None) -> PartnerVerdict:
+def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> PartnerVerdict:
     """Verdict for two fibers on which every check agrees, subclass included."""
-    if subclass is Subclass.L1:
+    if px.subclass is Subclass.L1:
         # matching profiles separate the reduced types, so the types agree
-        tx, ty = classify(x), classify(y)
-        assert tx == ty, (tx, ty)
-        note = _SMOOTH_ELLIPTIC_NOTE if tx == KodairaType("I", 0) else None
+        assert px.kind == py.kind, (px.kind, py.kind)
+        note = _SMOOTH_ELLIPTIC_NOTE if px.kind == KodairaType("I", 0) else None
         return PartnerVerdict(VerdictKind.ISOMORPHIC, note=note)
-    note = "the two configurations are identical" if x == y else _NO_CONVERSE_NOTE
+    note = "the two configurations are identical" if identical else _NO_CONVERSE_NOTE
     return PartnerVerdict(VerdictKind.POSSIBLY_EQUIVALENT, note=note)
 
 
@@ -120,7 +121,7 @@ def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     """Compare every invariant, in a fixed order, and issue a verdict."""
     px, py = invariant_profile(x), invariant_profile(y)
     verdict = _not_equivalent([_row(px), _row(py)])[0][1]
-    return verdict if verdict.witnesses else _agreeing(x, y, px.subclass)
+    return verdict if verdict.witnesses else _agreeing(px, py, x == y)
 
 
 def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
@@ -137,8 +138,8 @@ def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
     differing = _not_equivalent(list(numbers))
     return [
         [
-            _agreeing(x, y, px.subclass) if rx == ry else differing[rx][ry]
-            for y, ry in zip(configs, rows)
+            _agreeing(px, py, x == y) if rx == ry else differing[rx][ry]
+            for y, py, ry in zip(configs, profiles, rows)
         ]
         for x, px, rx in zip(configs, profiles, rows)
     ]

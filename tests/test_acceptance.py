@@ -58,7 +58,7 @@ def test_criterion_2_fiber_class_radical():
     reducible = [t for t in ALL_TYPES if build(t).n_components >= 2]
     for kind in reducible:
         config = build(kind)
-        entries = [list(row) for row in intersection_matrix(config).entries]
+        entries = [list(row) for row in intersection_matrix(config)]
         mult = config.multiplicities()
         product = [sum(x * v for x, v in zip(row, mult)) for row in entries]
         assert product == [0] * len(mult), kind

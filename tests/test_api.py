@@ -1,14 +1,18 @@
 """The public surface of the package: `kodaira.__all__` and its modules."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import kodaira
+from readme_examples import REPO
 
 
 def test_every_public_name_resolves_once():
-    assert len(set(kodaira.__all__)) == len(kodaira.__all__) == 44
+    assert len(set(kodaira.__all__)) == len(kodaira.__all__) == 40
     for name in kodaira.__all__:
         assert getattr(kodaira, name) is not None, name
 
@@ -20,6 +24,26 @@ def test_removed_graph_names_are_gone(name):
     assert not hasattr(kodaira, name)
 
 
+@pytest.mark.parametrize(
+    "name", ["IntersectionMatrix", "SingularitySummary", "is_smooth", "singularity_summary"]
+)
+def test_names_folded_into_the_profile_are_gone(name):
+    assert not hasattr(kodaira, name)
+
+
 def test_graphs_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("kodaira.graphs")
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    """The library is integer-only, so the CLI never pays for these imports."""
+    code = "import sys, kodaira.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -216,8 +216,10 @@ _JSON_VALUES = st.recursive(
     | st.text()
     | st.lists(_SMALL_INTS)
     | st.lists(_SMALL_INTS | st.booleans())
-    | st.lists(_SMALL_INTS | st.text(max_size=2)),
+    | st.lists(_SMALL_INTS | st.text(max_size=2))
+    | st.lists(_SMALL_INTS).map(tuple),
     lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=20,
 )
@@ -238,7 +240,7 @@ _ORACLE_TYPES = catalog_types(8, 3) + [
 
 @pytest.mark.parametrize("kind", _ORACLE_TYPES, ids=str)
 def test_show_matrix_matches_a_per_cell_rendering(capsys, kind):
-    entries = intersection_matrix(build(kind)).entries
+    entries = intersection_matrix(build(kind))
     width = max(len(str(e)) for row in entries for e in row)
     expected = "".join("  [" + " ".join(f"{e:>{width}}" for e in row) + "]\n" for row in entries)
     code, out, _ = run_cli(capsys, "show", str(kind))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kodaira import (
@@ -37,7 +39,7 @@ def chain_of_three():
 
 class TestIntersectionMatrix:
     def test_istar0_matrix(self):
-        m = intersection_matrix(build(KodairaType("IStar", 0))).entries
+        m = intersection_matrix(build(KodairaType("IStar", 0)))
         expected = (
             (-2, 0, 0, 0, 1),
             (0, -2, 0, 0, 1),
@@ -48,17 +50,17 @@ class TestIntersectionMatrix:
         assert m == expected
 
     def test_single_elliptic_component(self):
-        assert intersection_matrix(single_elliptic()).entries == ((0,),)
+        assert intersection_matrix(single_elliptic()) == ((0,),)
 
     def test_tacnode_contributes_two(self):
-        m = intersection_matrix(build(KodairaType("III"))).entries
+        m = intersection_matrix(build(KodairaType("III")))
         assert m == ((-2, 2), (2, -2))
         # the fiber class pairs to zero against each component
         assert fiber_obstruction(build(KodairaType("III"))) is None
 
     @pytest.mark.parametrize("kind", catalog_types(8, 4))
     def test_symmetric_with_nonnegative_off_diagonal(self, kind):
-        m = intersection_matrix(build(kind)).entries
+        m = intersection_matrix(build(kind))
         n = len(m)
         for i in range(n):
             for j in range(n):
@@ -111,12 +113,20 @@ class TestFiberTest:
             (Component("a"), Component("b")),
             (SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),),
         )
-        assert intersection_matrix(config).entries == ((-2, 1), (1, -2))
+        assert intersection_matrix(config) == ((-2, 1), (1, -2))
         assert not is_fiber_like(config)
         assert fiber_obstruction(config) == "M*m != 0"
 
     def test_chain_is_not_fiber_like(self):
         assert fiber_obstruction(chain_of_three()) == "M*m != 0"
+
+    @pytest.mark.parametrize("kind", catalog_types(6, 4), ids=str)
+    def test_radical_basis_is_the_primitive_integer_vector(self, kind):
+        config = build(kind)
+        (basis,) = radical_basis(config)
+        assert all(type(x) is int for x in basis)
+        assert math.gcd(*basis) == 1
+        assert [x * gcd_multiplicity(config) for x in basis] == list(config.multiplicities())
 
     def test_radical_basis_rejects_a_non_fiber(self):
         # the A3 chain is negative definite: its kernel is 0, not Q * m
@@ -139,7 +149,7 @@ class TestFiberTest:
             (Component("a", 1, 0, 2), Component("b", 1, 0, 2)),
             (SingularPoint("p", LocalType.TACNODE, ("a", "b")),),
         )
-        assert intersection_matrix(config).entries == ((2, 2), (2, 2))
+        assert intersection_matrix(config) == ((2, 2), (2, 2))
         assert fiber_obstruction(config) == "M*m != 0"
 
     def test_obstruction_is_none_for_fibers(self):
@@ -180,7 +190,7 @@ class TestRadicalAgainstIntegerOracle:
     @pytest.mark.parametrize("kind", [k for k in catalog_types(10, 3) if build(k).n_components >= 2])
     def test_kernel_matches_column_reduction(self, kind):
         config = build(kind)
-        entries = intersection_matrix(config).entries
+        entries = intersection_matrix(config)
         oracle = integer_kernel([list(r) for r in entries])
         assert len(oracle) == 1
         v = oracle[0]

@@ -28,7 +28,6 @@ from kodaira import (
     parse_document,
     picard_descriptor,
     serialize_document,
-    singularity_summary,
 )
 from oracles import reduce
 
@@ -200,22 +199,29 @@ class TestPicardDescriptor:
         )
 
 
-class TestSingularitySummary:
-    def test_istar4_is_non_reduced(self):
-        assert singularity_summary(build(KodairaType("IStar", 4))) == (False, None)
+class TestSingularPoints:
+    """The profile's reduced and smooth flags and its singular point count."""
 
-    def test_istar4_reduction_has_eight_points(self):
-        assert singularity_summary(reduce(build(KodairaType("IStar", 4)))) == (True, 8)
+    @staticmethod
+    def summary(kind):
+        p = invariant_profile(build(kind))
+        return p.reduced, p.smooth, p.singular_point_count
+
+    def test_istar4_is_non_reduced(self):
+        assert self.summary(KodairaType("IStar", 4)) == (False, False, None)
+
+    def test_cycle_of_eight_has_eight_points(self):
+        assert self.summary(KodairaType("I", 8)) == (True, False, 8)
 
     def test_smooth_elliptic(self):
-        assert singularity_summary(build(KodairaType("I", 0))) == (True, 0)
+        assert self.summary(KodairaType("I", 0)) == (True, True, 0)
 
     def test_triple_point(self):
-        assert singularity_summary(build(KodairaType("IV"))) == (True, 1)
+        assert self.summary(KodairaType("IV")) == (True, False, 1)
 
     def test_intrinsic_singularities_counted(self):
-        assert singularity_summary(build(KodairaType("I", 1))) == (True, 1)
-        assert singularity_summary(build(KodairaType("II"))) == (True, 1)
+        assert self.summary(KodairaType("I", 1)) == (True, False, 1)
+        assert self.summary(KodairaType("II")) == (True, False, 1)
 
 
 class TestDsgStatus:
@@ -239,6 +245,11 @@ class TestDsgStatus:
 
     def test_cycles_are_unknown(self):
         assert dsg_status(build(KodairaType("I", 5))) is DsgStatus.UNKNOWN
+
+    @pytest.mark.parametrize("kind", catalog_types(8, 3), ids=str)
+    def test_profile_property_agrees_with_the_function(self, kind):
+        config = build(kind)
+        assert invariant_profile(config).dsg_status is dsg_status(config)
 
 
 class TestInvariantProfile:
@@ -265,6 +276,12 @@ class TestInvariantProfile:
         a = invariant_profile(build(KodairaType("IStar", 4)))
         b = invariant_profile(build(KodairaType("IIStar")))
         assert a == b
+
+    def test_type_is_carried_but_not_compared(self):
+        a = invariant_profile(build(KodairaType("IStar", 4)))
+        b = invariant_profile(build(KodairaType("IIStar")))
+        assert (a.kind, b.kind) == (KodairaType("IStar", 4), KodairaType("IIStar"))
+        assert a == b and hash(a) == hash(b)
 
     def test_non_fiber_input_rejected(self):
         with pytest.raises(ValueError, match="not fiber-like"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kodaira
 from kodaira import (
     Component,
     CurveConfiguration,
@@ -13,9 +14,12 @@ from kodaira import (
     VerdictKind,
     Witness,
     build,
+    catalog,
     catalog_types,
     compare,
     invariant_profile,
+    invariants,
+    partner,
     partner_matrix,
     subclass_of,
 )
@@ -205,6 +209,31 @@ class TestPartnerMatrix:
         assert invariant_profile(build(mi25)) == invariant_profile(build(mi35))
         assert cell(mi25, mi35).kind is VerdictKind.POSSIBLY_EQUIVALENT
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
+
+
+
+def test_verdicts_read_the_type_off_the_cached_profiles(monkeypatch):
+    """The recognized type rides on the profile, so once the profiles are
+    cached neither `partner_matrix` nor `compare` classifies again."""
+    classify = catalog.classify
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return classify(config)
+
+    for module in (kodaira, catalog, invariants, partner):
+        if vars(module).get("classify") is classify:
+            monkeypatch.setattr(module, "classify", counted)
+    types = catalog_types(6, 3)
+    for kind in types:
+        invariant_profile(build(kind))
+    table = partner_matrix(types)
+    assert calls == []
+    assert all(table[i][i].kind is not VerdictKind.NOT_EQUIVALENT for i in range(len(types)))
+    for kind in (KodairaType("I", 0), KodairaType("I", 3), KodairaType("IV")):
+        assert compare(build(kind), build(kind)).kind is VerdictKind.ISOMORPHIC
+    assert calls == []
 
 
 _II, _III, _IV = KodairaType("II"), KodairaType("III"), KodairaType("IV")

@@ -81,7 +81,7 @@ def configurations(draw):
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_intersection_matrix_shape(config):
-    m = intersection_matrix(config).entries
+    m = intersection_matrix(config)
     for i in range(len(m)):
         for j in range(len(m)):
             assert m[i][j] == m[j][i]
@@ -222,7 +222,7 @@ def test_fiber_test_is_zariskis_lemma(config):
     the library takes from the lemma."""
     mult = config.multiplicities()
     rows = dense_matrix(config)
-    assert intersection_matrix(config).entries == tuple(map(tuple, rows))
+    assert intersection_matrix(config) == tuple(map(tuple, rows))
     product = [sum(x * v for x, v in zip(row, mult)) for row in rows]
     assert divisor_square(config, mult) == sum(v * w for v, w in zip(mult, product))
 
@@ -239,6 +239,7 @@ def test_fiber_test_is_zariskis_lemma(config):
     if fiber:
         (basis,) = radical_basis(config)
         assert proportional(basis, mult)
+        assert all(type(x) is int for x in basis)
 
 
 _REDUCIBLE_TYPES = [t for t in catalog_types(6, 3) if build(t).n_components >= 2]
@@ -261,8 +262,9 @@ def scaled_catalog_fibers(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(fiber_candidates(constrained=st.just(True)), scaled_catalog_fibers()))
 def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
-    """classify(c) is T exactly when c is isomorphic to build(T); the
-    expected type is found by networkx alone, never by the recognizer.
+    """classify(c) is T exactly when c is isomorphic to build(T), and so is
+    the type the profile carries; the expected type is found by networkx
+    alone, never by the recognizer.
 
     By Zariski's lemma and the classification of affine Cartan matrices,
     (-2)-curves with M*m = 0 form an affine diagram with m a multiple of its
@@ -278,7 +280,14 @@ def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
     ]
     matches = [t for t in same_size if isomorphic_configurations(config, build(t))]
     assert len(matches) <= 1
-    assert classify(config) == (matches[0] if matches else None)
+    expected = matches[0] if matches else None
+    assert classify(config) == expected
+    try:
+        profile = invariant_profile(config)
+    except ValueError:
+        assert expected is None
+    else:
+        assert profile.kind == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,7 +303,10 @@ def test_profile_fields_against_oracles(config):
     component, gives g_a = 1 - chi and the unipotent dimension
     1 - chi - torus - elliptic; the elliptic rank is the sum of the genera,
     the discrete rank the component count, and G0 has rank components + 1
-    over rational components and 2 over one genus-1 component."""
+    over rational components and 2 over one genus-1 component. A reduced
+    curve counts the point and intrinsic vertices of Roberts' graph as its
+    singular points, and is smooth when there are none; a non-reduced
+    curve has no count."""
     mult = config.multiplicities()
     product = [sum(x * v for x, v in zip(row, mult)) for row in dense_matrix(config)]
     try:
@@ -303,7 +315,13 @@ def test_profile_fields_against_oracles(config):
         assert (str(error) == "not fiber-like: M*m != 0") == any(product)
         return
     assert not any(product)
-    torus = cycle_rank_by_spanning_forest(bipartite_graph(reduce(config)))
+    graph = bipartite_graph(reduce(config))
+    torus = cycle_rank_by_spanning_forest(graph)
+    reduced = reduce(config) == config
+    points = sum(1 for vertex in graph if vertex[0] != "c")
+    assert profile.reduced == reduced
+    assert profile.smooth == (reduced and points == 0)
+    assert profile.singular_point_count == (points if reduced else None)
     genera = [c.geometric_genus for c in config.components]
     first, *rest = config.components
     if first.intrinsic and not rest:
