@@ -17,27 +17,16 @@ from .curves import (
     IntrinsicType,
     LocalType,
     SingularPoint,
-    divisor_square,
     fiber_obstruction,
-    gcd_multiplicity,
     intersection_matrix,
-    is_fiber_like,
-    radical_basis,
 )
 from .document import DocumentError, parse_document, serialize_document
 from .invariants import (
     DsgStatus,
-    FreeAbelianGroup,
     InvariantProfile,
     PicardDescriptor,
-    arithmetic_genus,
-    dsg_status,
-    euler_characteristic,
-    grothendieck_group,
     invariant_profile,
     loop_rank,
-    negative_k,
-    picard_descriptor,
 )
 from .partner import PartnerVerdict, VerdictKind, Witness, compare, partner_matrix
 
@@ -47,7 +36,6 @@ __all__ = [
     "CurveConfiguration",
     "DocumentError",
     "DsgStatus",
-    "FreeAbelianGroup",
     "IntrinsicType",
     "InvariantProfile",
     "KodairaType",
@@ -59,27 +47,17 @@ __all__ = [
     "TypeSpecError",
     "VerdictKind",
     "Witness",
-    "arithmetic_genus",
     "build",
     "catalog_types",
     "classify",
     "compare",
-    "divisor_square",
-    "dsg_status",
-    "euler_characteristic",
     "fiber_obstruction",
-    "gcd_multiplicity",
-    "grothendieck_group",
     "intersection_matrix",
     "invariant_profile",
-    "is_fiber_like",
     "loop_rank",
-    "negative_k",
     "parse_document",
     "parse_type",
     "partner_matrix",
-    "picard_descriptor",
-    "radical_basis",
     "serialize_document",
     "subclass_of",
 ]

@@ -23,7 +23,7 @@ from .curves import (
     IntrinsicType,
     LocalType,
     SingularPoint,
-    is_fiber_like,
+    fiber_obstruction,
 )
 
 
@@ -245,7 +245,7 @@ def classify(config: CurveConfiguration) -> KodairaType | None:
     A tacnode (an off-diagonal 2) or triple point (a triangle) exists only
     in A~1 resp. A~2, as its only point. No row is a star scaled by k >= 2.
     """
-    if not is_fiber_like(config):
+    if fiber_obstruction(config) is not None:
         return None
     if config.n_components == 1:
         return _classify_irreducible(config)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from typing import Any, Iterator
 
 from .catalog import TypeSpecError, build, catalog_types, classify, parse_type
-from .curves import ConfigurationError, fiber_obstruction, intersection_matrix
+from .curves import fiber_obstruction, intersection_matrix
 from .document import _INTEGER, DocumentError, parse_document
 from .invariants import DsgStatus, invariant_profile
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
@@ -323,9 +323,6 @@ def main(argv: list[str] | None = None) -> int:
         # unparseable input, not a failed validation
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConfigurationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -7,23 +7,18 @@ any singularities intrinsic to it (a node or a cusp on a single branch of
 the curve), while separate point records describe how distinct components
 meet (transversally, at a tacnode, or at an ordinary triple point).
 
-The intersection matrix, divisor squares and the numerical fiber test are
-derived from the component and point records in exact integer arithmetic.
-The fiber test is the single product M * m with the multiplicity vector:
-by Zariski's lemma (Barth-Hulek-Peters-Van de Ven, Compact Complex
-Surfaces, Lemma III.8.2), a connected configuration with multiplicities
->= 1, non-negative pairings between distinct components and M * m = 0 has
-a negative semidefinite intersection matrix with radical Q * m, so neither
-needs checking by elimination.
-
-The surface is assumed to be a relatively minimal elliptic fibration, so
-the canonical class pairs to zero with every component; this makes
-chi(O_D) = -D^2/2 exact for divisors with smooth components.
+The intersection matrix and the numerical fiber test are derived from the
+component and point records in exact integer arithmetic. The fiber test is
+the single product M * m with the multiplicity vector: by Zariski's lemma
+(Barth-Hulek-Peters-Van de Ven, Compact Complex Surfaces, Lemma III.8.2),
+a connected configuration with multiplicities >= 1, non-negative pairings
+between distinct components and M * m = 0 has a negative semidefinite
+intersection matrix with radical Q * m, so neither needs checking by
+elimination.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -161,12 +156,6 @@ class CurveConfiguration:
     def n_components(self) -> int:
         return len(self.components)
 
-    def component(self, name: str) -> Component:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.components)
 
@@ -220,20 +209,6 @@ def intersection_matrix(config: CurveConfiguration) -> tuple[tuple[int, ...], ..
     return tuple(m)
 
 
-def divisor_square(config: CurveConfiguration, coeffs: tuple[int, ...] | list[int]) -> int:
-    """Self-intersection of the divisor sum(coeffs[i] * component_i)."""
-    if len(coeffs) != config.n_components:
-        raise ValueError(
-            f"coefficient vector has length {len(coeffs)}, expected {config.n_components}"
-        )
-    return sum(v * w for v, w in zip(coeffs, _product(config, coeffs)))
-
-
-def gcd_multiplicity(config: CurveConfiguration) -> int:
-    """gcd of the component multiplicities; > 1 means the curve is multiple."""
-    return math.gcd(*config.multiplicities())
-
-
 def fiber_obstruction(config: CurveConfiguration) -> str | None:
     """Why the configuration fails the numerical fiber test, or None.
 
@@ -250,26 +225,3 @@ def fiber_obstruction(config: CurveConfiguration) -> str | None:
         return "M*m != 0"
     return None
 
-
-def is_fiber_like(config: CurveConfiguration) -> bool:
-    """Numerical test for being a fiber: M*m = 0 on a connected configuration.
-
-    By Zariski's lemma this also makes M negative semidefinite with the
-    rank-1 radical Q * m; see `fiber_obstruction`.
-    """
-    return fiber_obstruction(config) is None
-
-
-def radical_basis(config: CurveConfiguration) -> list[list[int]]:
-    """Integer basis of the kernel of the intersection matrix of a fiber.
-
-    For a fiber-like configuration Zariski's lemma makes the kernel the
-    line spanned by the multiplicity vector m, so the basis is the single
-    primitive vector m / gcd(m). Any other configuration raises ValueError
-    naming the obstruction, because m is not its kernel.
-    """
-    obstruction = fiber_obstruction(config)
-    if obstruction is not None:
-        raise ValueError(f"not fiber-like: {obstruction}")
-    g = gcd_multiplicity(config)
-    return [[x // g for x in config.multiplicities()]]

@@ -1,14 +1,16 @@
-"""Derived-equivalence invariants of a curve configuration.
+"""Derived-equivalence invariants of a fiber-like curve configuration.
 
-Everything a derived equivalence preserves for these curves is computed
-here: the Euler characteristic and arithmetic genus, the free rank of the
-Grothendieck group of coherent sheaves, the negative K-groups, the
-group-scheme shape of the Picard scheme, the isolated-singularity data and
-the idempotent-completeness status of the singularity category. All of it
-is exact integer arithmetic on the configuration.
+`invariant_profile` is the one route to them: the Euler characteristic and
+arithmetic genus, the free rank of the Grothendieck group of coherent
+sheaves, the negative K-groups, the group-scheme shape of the Picard
+scheme, the isolated-singularity data and the idempotent-completeness
+status of the singularity category, all in exact integer arithmetic, with
+the recognized catalog type beside them. The CLI and the partner checks
+read that record.
 
-`invariant_profile` bundles these into one record, which also carries the
-recognized catalog type; the CLI and the partner checks read that record.
+The fiber test M * m = 0 is the only product with the intersection matrix
+that a profile makes: every invariant past it is read off the component
+and point records, because the test itself settles the divisor square.
 """
 
 from __future__ import annotations
@@ -18,21 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import KodairaType, Subclass, classify, subclass_of
-from .curves import CurveConfiguration, divisor_square, fiber_obstruction
-
-
-@dataclass(frozen=True)
-class FreeAbelianGroup:
-    """A finitely generated free abelian group, recorded by its rank."""
-
-    rank: int
-
-    def __str__(self) -> str:
-        if self.rank == 0:
-            return "0"
-        if self.rank == 1:
-            return "Z"
-        return f"Z^{self.rank}"
+from .curves import CurveConfiguration, fiber_obstruction
 
 
 @dataclass(frozen=True)
@@ -72,15 +60,6 @@ class DsgStatus(str, Enum):
     IDEMPOTENT_COMPLETE = "idempotent_complete"
     UNKNOWN = "unknown"
 
-    @classmethod
-    def of(cls, smooth: bool, k_minus_one_rank: int) -> DsgStatus:
-        """Smooth curves have a trivial singularity category; vanishing of
-        K^-1 forces the Verdier quotient to be idempotent complete; otherwise
-        the question stays open."""
-        if smooth:
-            return cls.TRIVIAL
-        return cls.IDEMPOTENT_COMPLETE if k_minus_one_rank == 0 else cls.UNKNOWN
-
 
 @dataclass(frozen=True)
 class InvariantProfile:
@@ -101,54 +80,17 @@ class InvariantProfile:
 
     @property
     def dsg_status(self) -> DsgStatus:
-        """Status of the singularity category D_sg = D^b/Perf; see `DsgStatus.of`."""
-        return DsgStatus.of(self.smooth, self.k_minus_one_rank)
+        """Status of the singularity category D_sg = D^b/Perf.
 
-
-def euler_characteristic(config: CurveConfiguration) -> int:
-    """chi(O_X), exactly.
-
-    With the canonical class pairing to zero against every component,
-    Riemann-Roch gives chi = -D^2/2 whenever all components are smooth as
-    abstract curves. An irreducible component with intrinsic singularities
-    uses the delta-invariant formula chi = 1 - (g + sum of deltas) instead;
-    both routes agree on every fiber. Intrinsic singularities on a
-    reducible configuration are outside the supported catalog shapes.
-    """
-    has_intrinsic = any(c.intrinsic for c in config.components)
-    if has_intrinsic and config.n_components >= 2:
-        raise ValueError(
-            "intrinsic singularities on a reducible configuration are not supported"
-        )
-    if has_intrinsic:
-        c = config.components[0]
-        return 1 - (c.geometric_genus + sum(s.delta for s in c.intrinsic))
-    square = divisor_square(config, config.multiplicities())
-    if square % 2:
-        raise ValueError(
-            "odd divisor square; the configuration violates the canonical-class convention"
-        )
-    return -(square // 2)
-
-
-def arithmetic_genus(config: CurveConfiguration) -> int:
-    """g_a = 1 - chi(O_X); equals 1 for every fiber."""
-    return 1 - euler_characteristic(config)
-
-
-def grothendieck_group(config: CurveConfiguration) -> FreeAbelianGroup:
-    """G_0 of coherent sheaves: free of rank N+1 (rank 2 when irreducible).
-
-    Needs every component rational, or an irreducible curve of genus <= 1;
-    the rank is insensitive to multiplicities (devissage).
-    """
-    if all(c.geometric_genus == 0 for c in config.components):
-        return FreeAbelianGroup(config.n_components + 1)
-    if config.n_components == 1:
-        return FreeAbelianGroup(2)
-    raise ValueError(
-        "unsupported genus combination: genus-one component in a reducible configuration"
-    )
+        Smooth curves have a trivial singularity category; vanishing of
+        K^-1 forces the Verdier quotient to be idempotent complete;
+        otherwise the question stays open.
+        """
+        if self.smooth:
+            return DsgStatus.TRIVIAL
+        if self.k_minus_one_rank == 0:
+            return DsgStatus.IDEMPOTENT_COMPLETE
+        return DsgStatus.UNKNOWN
 
 
 def loop_rank(config: CurveConfiguration) -> int:
@@ -171,82 +113,65 @@ def loop_rank(config: CurveConfiguration) -> int:
     )
 
 
-def negative_k(config: CurveConfiguration, i: int) -> FreeAbelianGroup:
-    """K^i for i <= -1: free of rank loop_rank at i = -1, zero below."""
-    if i >= 0:
-        raise ValueError(
-            "negative_k handles i <= -1 only; K^0 is Z + Pic, see picard_descriptor"
-        )
-    if i == -1:
-        return FreeAbelianGroup(loop_rank(config))
-    return FreeAbelianGroup(0)
-
-
-def _picard(config: CurveConfiguration, chi: int) -> PicardDescriptor:
-    elliptic = sum(c.geometric_genus for c in config.components)
-    torus = loop_rank(config)
-    unipotent = 1 - chi - torus - elliptic
-    if unipotent < 0:
-        raise ValueError(
-            "negative unipotent dimension; the configuration is not fiber-like"
-        )
-    return PicardDescriptor(unipotent, torus, elliptic, config.n_components)
-
-
-def picard_descriptor(config: CurveConfiguration) -> PicardDescriptor:
-    """Shape of Pic(X) from the configuration.
-
-    The elliptic rank is the total geometric genus, the torus rank is the
-    loop rank of the reduction, and the unipotent dimension is whatever is
-    left of h^1(O_X) = 1 - chi (a connected fiber has h^0 = 1). The
-    component group is free of rank N.
-    """
-    return _picard(config, euler_characteristic(config))
-
-
-def _singular_point_count(config: CurveConfiguration) -> int | None:
-    """Meeting points plus intrinsic singularities of a reduced curve; 0 when smooth.
-
-    A non-reduced curve is singular along the whole curve, so it has no
-    isolated singular points to count: None.
-    """
-    if not config.is_reduced():
-        return None
-    return len(config.points) + sum(len(c.intrinsic) for c in config.components)
-
-
-def dsg_status(config: CurveConfiguration) -> DsgStatus:
-    """Status of the singularity category D_sg = D^b/Perf; see `DsgStatus.of`.
-
-    Defined on any configuration, fiber or not, and kept off the profile
-    cache so that the configuration is not kept alive.
-    """
-    return DsgStatus.of(_singular_point_count(config) == 0, loop_rank(config))
-
-
 @functools.cache
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a fiber-like configuration, and its type.
 
     `classify` runs the fiber test, so its obstruction is asked for only
-    when no type is recognized; chi and the loop rank are computed once.
-    The recognized type is kept as `kind`, so no reader classifies again.
+    when no type is recognized; the recognized type is kept as `kind`, so
+    no reader classifies again. Past the test, M * m = 0, so the fiber
+    D = sum m_i C_i has D^2 = m * (M * m) = 0.
+
+    - chi(O_X): the surface is a relatively minimal elliptic fibration, so
+      the canonical class pairs to zero with every component and
+      Riemann-Roch gives chi = -D^2/2 = 0 when every component is smooth.
+      An irreducible curve with intrinsic singularities has
+      chi = 1 - (g + sum of deltas) instead; g_a = 1 - chi.
+    - G_0 of coherent sheaves is free of rank N + 1, whatever the
+      multiplicities (devissage), when every component is rational or
+      the curve is irreducible of genus <= 1.
+    - Pic(X): the elliptic rank is the total geometric genus, the torus
+      rank is the loop rank, which is also the rank of K^-1 (K^i = 0 for
+      i <= -2), and the unipotent dimension is what is left of
+      h^1(O_X) = 1 - chi (a connected fiber has h^0 = 1). The component
+      group is free of rank N.
+
+    Intrinsic singularities on a reducible configuration, a genus-one
+    component in a reducible configuration and a negative unipotent
+    dimension are outside the supported shapes and raise ValueError, in
+    that order.
     """
     kind = classify(config)
     if kind is None:
         obstruction = fiber_obstruction(config)
         if obstruction is not None:
             raise ValueError(f"not fiber-like: {obstruction}")
-    chi = euler_characteristic(config)
-    g0_rank = grothendieck_group(config).rank
-    picard = _picard(config, chi)
-    count = _singular_point_count(config)
+    n = config.n_components
+    intrinsic = [s for c in config.components for s in c.intrinsic]
+    if intrinsic and n >= 2:
+        raise ValueError(
+            "intrinsic singularities on a reducible configuration are not supported"
+        )
+    elliptic = sum(c.geometric_genus for c in config.components)
+    if elliptic and n >= 2:
+        raise ValueError(
+            "unsupported genus combination: genus-one component in a reducible configuration"
+        )
+    chi = (1 - elliptic - sum(s.delta for s in intrinsic)) if intrinsic else 0
+    torus = loop_rank(config)
+    unipotent = 1 - chi - torus - elliptic
+    if unipotent < 0:
+        raise ValueError(
+            "negative unipotent dimension; the configuration is not fiber-like"
+        )
+    # a non-reduced curve is singular along the whole curve: no isolated points to count
+    count = len(config.points) + len(intrinsic) if config.is_reduced() else None
     return InvariantProfile(
-        n_components=config.n_components,
+        n_components=n,
         arithmetic_genus=1 - chi,
-        g0_rank=g0_rank,
-        k_minus_one_rank=picard.torus_rank,
-        picard=picard,
+        g0_rank=n + 1,
+        k_minus_one_rank=torus,
+        picard=PicardDescriptor(unipotent, torus, elliptic, n),
         reduced=count is not None,
         smooth=count == 0,
         singular_point_count=count,

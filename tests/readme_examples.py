@@ -1,4 +1,4 @@
-"""Extract the `$ kodaira ...` console examples from the README."""
+"""Extract the `$ kodaira ...` console examples and the library example from the README."""
 
 from __future__ import annotations
 
@@ -43,3 +43,10 @@ def readme_console_examples() -> list[tuple[list[str], str, int]]:
         else:
             expected.append(line + "\n")
     return examples
+
+
+def readme_library_example() -> str:
+    """The source of the README's one ```python block."""
+    blocks = README.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    return blocks[0].split("```")[0]

@@ -8,11 +8,11 @@ import sys
 import pytest
 
 import kodaira
-from readme_examples import REPO
+from readme_examples import REPO, readme_library_example
 
 
 def test_every_public_name_resolves_once():
-    assert len(set(kodaira.__all__)) == len(kodaira.__all__) == 40
+    assert len(set(kodaira.__all__)) == len(kodaira.__all__) == 29
     for name in kodaira.__all__:
         assert getattr(kodaira, name) is not None, name
 
@@ -25,10 +25,31 @@ def test_removed_graph_names_are_gone(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["IntersectionMatrix", "SingularitySummary", "is_smooth", "singularity_summary"]
+    "name",
+    [
+        "IntersectionMatrix",
+        "SingularitySummary",
+        "is_smooth",
+        "singularity_summary",
+        "is_fiber_like",
+        "gcd_multiplicity",
+        "radical_basis",
+        "divisor_square",
+        "FreeAbelianGroup",
+        "euler_characteristic",
+        "arithmetic_genus",
+        "grothendieck_group",
+        "negative_k",
+        "picard_descriptor",
+        "dsg_status",
+    ],
 )
 def test_names_folded_into_the_profile_are_gone(name):
     assert not hasattr(kodaira, name)
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
 
 
 def test_graphs_module_is_gone():

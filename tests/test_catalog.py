@@ -13,7 +13,7 @@ from kodaira import (
     build,
     catalog_types,
     classify,
-    is_fiber_like,
+    fiber_obstruction,
     parse_type,
     subclass_of,
 )
@@ -116,7 +116,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("kind", catalog_types(12, 4))
     def test_every_catalog_configuration_is_fiber_like(self, kind):
-        assert is_fiber_like(build(kind))
+        assert fiber_obstruction(build(kind)) is None
 
 
 class TestClassify:
@@ -169,7 +169,7 @@ class TestClassify:
             (Component("a", 2), Component("b", 2)),
             (SingularPoint("p", LocalType.TACNODE, ("a", "b")),),
         )
-        assert is_fiber_like(config)
+        assert fiber_obstruction(config) is None
         assert classify(config) is None
 
     def test_unequal_multiple_cycle_rejected(self):

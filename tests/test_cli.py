@@ -10,7 +10,6 @@ from kodaira import (
     KodairaType,
     build,
     catalog_types,
-    dsg_status,
     intersection_matrix,
     invariant_profile,
     invariants,
@@ -136,7 +135,7 @@ class TestExitCodes:
         doc.write_text("[components]\na 1 1 0\nb 1 1 0\n")
         code, _, err = run_cli(capsys, "classify", str(doc))
         assert code == 2
-        assert "not connected" in err
+        assert err == "validation error: configuration is not connected\n"
 
     def test_unrecognized_curve_exits_two(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO)
@@ -275,7 +274,7 @@ def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
     assert code == 0
     assert len(calls) == 1
-    status = dsg_status(build(kind))
+    status = invariant_profile(build(kind)).dsg_status
     if fmt == "json":
         assert json.loads(out)["dsg_status"] == status.value
     else:

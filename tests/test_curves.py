@@ -10,14 +10,12 @@ from kodaira import (
     KodairaType,
     LocalType,
     SingularPoint,
+    Subclass,
     build,
     catalog_types,
-    divisor_square,
     fiber_obstruction,
-    gcd_multiplicity,
     intersection_matrix,
-    is_fiber_like,
-    radical_basis,
+    invariant_profile,
 )
 from oracles import integer_kernel, reduce
 
@@ -69,36 +67,39 @@ class TestIntersectionMatrix:
                     assert m[i][j] >= 0
 
 
-class TestDivisorSquare:
+def fiber_square(config):
+    """D^2 for the fiber class D = sum m_i C_i, read off the dense matrix."""
+    m = config.multiplicities()
+    rows = intersection_matrix(config)
+    return sum(m[i] * x * m[j] for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+class TestFiberSquare:
     def test_istar0_fiber_class_squares_to_zero(self):
         config = build(KodairaType("IStar", 0))
         # expand by hand: 4*(1^2*-2) + 2^2*(-2) + 2*(4 points * 1*2*1) = 0
         by_hand = 4 * -2 + 4 * -2 + 2 * (4 * 1 * 2 * 1)
         assert by_hand == 0
-        assert divisor_square(config, config.multiplicities()) == 0
+        assert fiber_square(config) == 0
+        assert fiber_obstruction(config) is None
 
     def test_single_component(self):
-        assert divisor_square(single_elliptic(), (1,)) == 0
-
-    def test_one_component_of_i2(self):
-        assert divisor_square(build(KodairaType("I", 2)), (1, 0)) == -2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            divisor_square(build(KodairaType("I", 2)), (1, 0, 0))
+        # chi = -D^2/2 = 0, so g_a = 1
+        assert invariant_profile(single_elliptic()).arithmetic_genus == 1
 
     @pytest.mark.parametrize("kind", catalog_types(6, 3))
     def test_catalog_fiber_squares_to_zero(self, kind):
         config = build(kind)
-        assert divisor_square(config, config.multiplicities()) == 0
+        assert fiber_square(config) == 0
+        assert invariant_profile(config).arithmetic_genus == 1
 
 
 class TestFiberTest:
     @pytest.mark.parametrize("n", range(21))
     def test_istar_family_is_fiber_like(self, n):
         config = build(KodairaType("IStar", n))
-        assert is_fiber_like(config)
-        basis = radical_basis(config)
+        assert fiber_obstruction(config) is None
+        basis = integer_kernel(intersection_matrix(config))
         assert len(basis) == 1
         v = basis[0]
         mult = config.multiplicities()
@@ -106,7 +107,7 @@ class TestFiberTest:
         assert all(v[i] * mult[0] == v[0] * mult[i] for i in range(len(mult)))
 
     def test_single_elliptic_is_fiber_like(self):
-        assert is_fiber_like(single_elliptic())
+        assert fiber_obstruction(single_elliptic()) is None
 
     def test_a2_cartan_pair_is_not(self):
         config = CurveConfiguration(
@@ -114,24 +115,25 @@ class TestFiberTest:
             (SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),),
         )
         assert intersection_matrix(config) == ((-2, 1), (1, -2))
-        assert not is_fiber_like(config)
         assert fiber_obstruction(config) == "M*m != 0"
 
     def test_chain_is_not_fiber_like(self):
         assert fiber_obstruction(chain_of_three()) == "M*m != 0"
 
     @pytest.mark.parametrize("kind", catalog_types(6, 4), ids=str)
-    def test_radical_basis_is_the_primitive_integer_vector(self, kind):
+    def test_radical_is_the_primitive_multiplicity_vector(self, kind):
         config = build(kind)
-        (basis,) = radical_basis(config)
-        assert all(type(x) is int for x in basis)
-        assert math.gcd(*basis) == 1
-        assert [x * gcd_multiplicity(config) for x in basis] == list(config.multiplicities())
+        assert fiber_obstruction(config) is None
+        (basis,) = integer_kernel(intersection_matrix(config))
+        if basis[0] < 0:
+            basis = [-x for x in basis]
+        g = math.gcd(*config.multiplicities())
+        assert basis == [x // g for x in config.multiplicities()]
 
-    def test_radical_basis_rejects_a_non_fiber(self):
+    def test_profile_rejects_a_non_fiber(self):
         # the A3 chain is negative definite: its kernel is 0, not Q * m
-        with pytest.raises(ValueError, match=r"M\*m != 0"):
-            radical_basis(chain_of_three())
+        with pytest.raises(ValueError, match=r"^not fiber-like: M\*m != 0$"):
+            invariant_profile(chain_of_three())
 
     def test_positive_self_intersection_reported(self):
         config = CurveConfiguration(
@@ -175,15 +177,16 @@ class TestReduce:
         assert reduce(once) == once
 
 
-class TestGcdMultiplicity:
+class TestMultipleFibers:
+    # a fiber is multiple (subclass L3) exactly when gcd(m) > 1
     def test_multiple_cycle(self):
-        assert gcd_multiplicity(build(KodairaType("mI", 3, 2))) == 2
+        assert invariant_profile(build(KodairaType("mI", 3, 2))).subclass is Subclass.L3
 
     def test_reduced_cycle(self):
-        assert gcd_multiplicity(build(KodairaType("I", 5))) == 1
+        assert invariant_profile(build(KodairaType("I", 5))).subclass is Subclass.L1
 
     def test_iistar_is_not_multiple(self):
-        assert gcd_multiplicity(build(KodairaType("IIStar"))) == 1
+        assert invariant_profile(build(KodairaType("IIStar"))).subclass is Subclass.L2
 
 
 class TestRadicalAgainstIntegerOracle:

@@ -8,25 +8,20 @@ from kodaira import (
     Component,
     CurveConfiguration,
     DsgStatus,
-    FreeAbelianGroup,
+    IntrinsicType,
     KodairaType,
     LocalType,
     PicardDescriptor,
     SingularPoint,
     Subclass,
-    arithmetic_genus,
     build,
     catalog_types,
     classify,
-    divisor_square,
-    dsg_status,
-    euler_characteristic,
-    grothendieck_group,
+    fiber_obstruction,
+    intersection_matrix,
     invariant_profile,
     loop_rank,
-    negative_k,
     parse_document,
-    picard_descriptor,
     serialize_document,
 )
 from oracles import reduce
@@ -36,100 +31,110 @@ def single_rational_minus_two():
     return CurveConfiguration((Component("a", 1, 0, -2),))
 
 
+def two_components(a, b, local_types):
+    """Components a and b meeting at one point per local type."""
+    points = tuple(
+        SingularPoint(f"p{i}", local, ("a", "b")) for i, local in enumerate(local_types)
+    )
+    return CurveConfiguration((a, b), points)
+
+
+def profile(kind):
+    return invariant_profile(build(kind))
+
+
 class TestEulerCharacteristic:
     @pytest.mark.parametrize("kind", catalog_types(8, 3))
     def test_catalog_fibers_have_chi_zero(self, kind):
-        assert euler_characteristic(build(kind)) == 0
-
-    def test_smooth_rational_component(self):
-        assert euler_characteristic(single_rational_minus_two()) == 1
+        assert 1 - profile(kind).arithmetic_genus == 0
 
     def test_nodal_curve_delta_route_agrees_with_square_route(self):
         config = build(KodairaType("I", 1))
-        assert euler_characteristic(config) == 0
-        assert -divisor_square(config, config.multiplicities()) // 2 == 0
+        # delta route: chi = 1 - (g + delta) = 0; square route: D^2 = 0
+        assert 1 - invariant_profile(config).arithmetic_genus == 0
+        assert intersection_matrix(config) == ((0,),)
 
     def test_mixed_intrinsic_case_rejected(self):
-        from kodaira import IntrinsicType
-
-        config = CurveConfiguration(
-            (Component("a", 1, 0, 0, (IntrinsicType.NODE,)), Component("b", 1, 0, -2)),
-            (SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),),
+        # M * m = 0, so only the intrinsic singularity rules this one out
+        config = two_components(
+            Component("a", 1, 0, -1, (IntrinsicType.NODE,)),
+            Component("b", 1, 0, -1),
+            [LocalType.TRANSVERSE],
         )
-        with pytest.raises(ValueError, match="reducible"):
-            euler_characteristic(config)
-
-    def test_odd_square_rejected(self):
-        config = CurveConfiguration((Component("a", 1, 0, -1),))
-        with pytest.raises(ValueError, match="odd"):
-            euler_characteristic(config)
+        assert fiber_obstruction(config) is None
+        with pytest.raises(ValueError) as err:
+            invariant_profile(config)
+        assert str(err.value) == (
+            "intrinsic singularities on a reducible configuration are not supported"
+        )
 
 
 class TestArithmeticGenus:
     @pytest.mark.parametrize("kind", catalog_types(6, 3))
     def test_catalog_fibers_have_genus_one(self, kind):
-        assert arithmetic_genus(build(kind)) == 1
-
-    def test_projective_line(self):
-        assert arithmetic_genus(single_rational_minus_two()) == 0
+        assert profile(kind).arithmetic_genus == 1
 
     def test_ivstar_square_expansion(self):
         config = build(KodairaType("IVStar"))
         marks = (1, 2, 3, 2, 2, 1, 1)
+        assert config.multiplicities() == marks
         diagonal = sum(-2 * m * m for m in marks)
         edges = (
             (1, 2), (2, 3), (3, 2), (3, 2), (2, 1), (2, 1),
         )  # multiplicity pairs along the six incidences
         off_diagonal = 2 * sum(a * b for a, b in edges)
         assert diagonal + off_diagonal == 0
-        assert divisor_square(config, marks) == 0
-        assert arithmetic_genus(config) == 1
+        rows = intersection_matrix(config)
+        assert sum(marks[i] * rows[i][j] * marks[j] for i in range(7) for j in range(7)) == 0
+        assert invariant_profile(config).arithmetic_genus == 1
 
 
 class TestGrothendieckGroup:
     def test_iistar(self):
-        assert grothendieck_group(build(KodairaType("IIStar"))) == FreeAbelianGroup(10)
+        assert profile(KodairaType("IIStar")).g0_rank == 10
 
     def test_smooth_elliptic(self):
-        assert grothendieck_group(build(KodairaType("I", 0))) == FreeAbelianGroup(2)
+        assert profile(KodairaType("I", 0)).g0_rank == 2
 
     @pytest.mark.parametrize("kind", catalog_types(8, 3))
     def test_devissage_rank_survives_reduction(self, kind):
         config = build(kind)
-        assert grothendieck_group(config) == grothendieck_group(reduce(config))
+        rank = invariant_profile(config).g0_rank
+        assert rank == config.n_components + 1
+        # the reduction of a multiple cycle is a cycle; of a star, no fiber
+        if fiber_obstruction(reduce(config)) is None:
+            assert invariant_profile(reduce(config)).g0_rank == rank
 
-    def test_rejects_genus_one_component_in_reducible_curve(self):
-        config = CurveConfiguration(
-            (Component("a", 1, 1, -2), Component("b")),
-            (
-                SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),
-                SingularPoint("q", LocalType.TRANSVERSE, ("a", "b")),
-            ),
+    @pytest.mark.parametrize("genera", [(1, 0), (1, 1)])
+    def test_rejects_genus_one_component_in_reducible_curve(self, genera):
+        config = two_components(
+            Component("a", 1, genera[0], -2),
+            Component("b", 1, genera[1], -2),
+            [LocalType.TRANSVERSE] * 2,
         )
-        with pytest.raises(ValueError, match="genus"):
-            grothendieck_group(config)
-
-    def test_group_rendering(self):
-        assert str(FreeAbelianGroup(0)) == "0"
-        assert str(FreeAbelianGroup(1)) == "Z"
-        assert str(FreeAbelianGroup(10)) == "Z^10"
+        assert fiber_obstruction(config) is None
+        with pytest.raises(ValueError) as err:
+            invariant_profile(config)
+        assert str(err.value) == (
+            "unsupported genus combination: genus-one component in a reducible configuration"
+        )
 
 
 class TestNegativeK:
     def test_cycle_has_k_minus_one_z(self):
-        assert negative_k(build(KodairaType("I", 7)), -1) == FreeAbelianGroup(1)
+        assert profile(KodairaType("I", 7)).k_minus_one_rank == 1
 
     def test_iiistar_has_vanishing_k_minus_one(self):
-        assert negative_k(build(KodairaType("IIIStar")), -1) == FreeAbelianGroup(0)
+        assert profile(KodairaType("IIIStar")).k_minus_one_rank == 0
 
-    @pytest.mark.parametrize("i", [-2, -3, -5, -17])
-    def test_everything_vanishes_below_minus_one(self, i):
-        for kind in (KodairaType("I", 3), KodairaType("IIStar"), KodairaType("mI", 2, 4)):
-            assert negative_k(build(kind), i) == FreeAbelianGroup(0)
+    @pytest.mark.parametrize(
+        "kind", [KodairaType("I", 3), KodairaType("IIStar"), KodairaType("mI", 2, 4)], ids=str
+    )
+    def test_everything_vanishes_below_minus_one(self, kind, capsys):
+        from kodaira.cli import main
 
-    def test_nonnegative_index_rejected(self):
-        with pytest.raises(ValueError):
-            negative_k(build(KodairaType("II")), 0)
+        assert main(["show", str(kind)]) == 0
+        assert "\nK^i rank for i <= -2: 0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", catalog_types(4, 2))
     def test_k_minus_one_regularity_is_reported(self, kind, capsys):
@@ -149,22 +154,20 @@ class TestPicardDescriptor:
         ],
     )
     def test_small_fibers(self, kind, expected):
-        assert picard_descriptor(build(kind)) == expected
+        assert profile(kind).picard == expected
 
     def test_cuspidal_curve_is_additive(self):
-        assert picard_descriptor(build(KodairaType("II"))) == PicardDescriptor(1, 0, 0, 1)
+        assert profile(KodairaType("II")).picard == PicardDescriptor(1, 0, 0, 1)
 
     def test_nodal_curve_is_a_torus(self):
-        assert picard_descriptor(build(KodairaType("I", 1))) == PicardDescriptor(0, 1, 0, 1)
+        assert profile(KodairaType("I", 1)).picard == PicardDescriptor(0, 1, 0, 1)
 
     def test_multiple_cycle_keeps_the_torus(self):
-        assert picard_descriptor(build(KodairaType("mI", n=2, m=3))) == PicardDescriptor(
-            0, 1, 0, 2
-        )
+        assert profile(KodairaType("mI", n=2, m=3)).picard == PicardDescriptor(0, 1, 0, 2)
 
     @pytest.mark.parametrize("kind", catalog_types(8, 3))
     def test_identity_component_has_dimension_one(self, kind):
-        p = picard_descriptor(build(kind))
+        p = profile(kind).picard
         assert p.unipotent_dim + p.torus_rank + p.elliptic_rank == 1
         assert p.discrete_rank == build(kind).n_components
 
@@ -172,7 +175,7 @@ class TestPicardDescriptor:
     def test_identity_component_follows_the_subclass(self, kind):
         from kodaira import subclass_of
 
-        label = picard_descriptor(build(kind)).identity_component_label()
+        label = profile(kind).picard.identity_component_label()
         subclass = subclass_of(kind)
         if subclass is Subclass.L2 or kind.family in ("II", "III", "IV"):
             assert label == "G_a"
@@ -181,22 +184,21 @@ class TestPicardDescriptor:
         else:  # cycles and their multiples
             assert label == "G_m"
 
-    def test_two_elliptic_components_are_rejected(self):
-        config = CurveConfiguration(
-            (Component("a", 1, 1, -2), Component("b", 1, 1, -2)),
-            (
-                SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),
-                SingularPoint("q", LocalType.TRANSVERSE, ("a", "b")),
-            ),
+    def test_negative_unipotent_dimension_is_rejected(self):
+        # three crossings of two (-3)-curves: M * m = 0, but the loop rank
+        # 2 exceeds h^1(O_X) = 1
+        config = two_components(
+            Component("a", 1, 0, -3), Component("b", 1, 0, -3), [LocalType.TRANSVERSE] * 3
         )
-        with pytest.raises(ValueError, match="unipotent"):
-            picard_descriptor(config)
+        assert fiber_obstruction(config) is None
+        with pytest.raises(ValueError) as err:
+            invariant_profile(config)
+        assert str(err.value) == (
+            "negative unipotent dimension; the configuration is not fiber-like"
+        )
 
     def test_describe(self):
-        assert (
-            picard_descriptor(build(KodairaType("IIStar"))).describe()
-            == "extension of Z^9 by G_a"
-        )
+        assert profile(KodairaType("IIStar")).picard.describe() == "extension of Z^9 by G_a"
 
 
 class TestSingularPoints:
@@ -231,25 +233,31 @@ class TestDsgStatus:
         + [KodairaType("IIStar"), KodairaType("IIIStar"), KodairaType("IVStar")],
     )
     def test_l2_types_are_idempotent_complete(self, kind):
-        assert dsg_status(build(kind)) is DsgStatus.IDEMPOTENT_COMPLETE
+        assert profile(kind).dsg_status is DsgStatus.IDEMPOTENT_COMPLETE
 
     def test_smooth_elliptic_is_trivial(self):
-        assert dsg_status(build(KodairaType("I", 0))) is DsgStatus.TRIVIAL
+        assert profile(KodairaType("I", 0)).dsg_status is DsgStatus.TRIVIAL
 
     def test_multiple_cycle_is_unknown(self):
-        assert dsg_status(build(KodairaType("mI", n=3, m=2))) is DsgStatus.UNKNOWN
+        assert profile(KodairaType("mI", n=3, m=2)).dsg_status is DsgStatus.UNKNOWN
 
     def test_reduced_types_without_loops_are_idempotent_complete(self):
         for family in ("II", "III", "IV"):
-            assert dsg_status(build(KodairaType(family))) is DsgStatus.IDEMPOTENT_COMPLETE
+            assert profile(KodairaType(family)).dsg_status is DsgStatus.IDEMPOTENT_COMPLETE
 
     def test_cycles_are_unknown(self):
-        assert dsg_status(build(KodairaType("I", 5))) is DsgStatus.UNKNOWN
+        assert profile(KodairaType("I", 5)).dsg_status is DsgStatus.UNKNOWN
 
     @pytest.mark.parametrize("kind", catalog_types(8, 3), ids=str)
-    def test_profile_property_agrees_with_the_function(self, kind):
-        config = build(kind)
-        assert invariant_profile(config).dsg_status is dsg_status(config)
+    def test_status_by_type(self, kind):
+        # trivial only for the smooth I(0); open for the cycles I(N), mI(m,N), N >= 1
+        if kind == KodairaType("I", 0):
+            expected = DsgStatus.TRIVIAL
+        elif kind.family in ("I", "mI") and kind.n >= 1:
+            expected = DsgStatus.UNKNOWN
+        else:
+            expected = DsgStatus.IDEMPOTENT_COMPLETE
+        assert profile(kind).dsg_status is expected
 
 
 class TestInvariantProfile:
@@ -288,27 +296,36 @@ class TestInvariantProfile:
             invariant_profile(single_rational_minus_two())
 
 
+# delta invariant of each singularity: r(r - 1)/2 at an ordinary r-fold point,
+# 2 at a tacnode (an A3 point), 1 at a node or a cusp
+_DELTA = {
+    LocalType.TRANSVERSE: 1,
+    LocalType.TACNODE: 2,
+    LocalType.ORDINARY_TRIPLE: 3,
+    IntrinsicType.NODE: 1,
+    IntrinsicType.CUSP: 1,
+}
+
+
 class TestNormalizationCountOracle:
     @pytest.mark.parametrize(
         "kind",
-        [KodairaType("I", n) for n in range(2, 12)]
-        + [KodairaType("IStar", n) for n in range(5)]
-        + [KodairaType("IIStar"), KodairaType("IIIStar"), KodairaType("IVStar")],
+        [KodairaType("I", n) for n in range(12)] + [KodairaType(f) for f in ("II", "III", "IV")],
+        ids=str,
     )
-    def test_chi_equals_component_chis_minus_gluing_points(self, kind):
-        config = reduce(build(kind))
-        assert all(p.local_type is LocalType.TRANSVERSE for p in config.points)
-        by_normalization = sum(
-            1 - c.geometric_genus for c in config.components
-        ) - len(config.points)
-        assert euler_characteristic(config) == by_normalization
+    def test_chi_equals_component_chis_minus_deltas(self, kind):
+        config = build(kind)
+        by_normalization = sum(1 - c.geometric_genus for c in config.components)
+        by_normalization -= sum(_DELTA[p.local_type] for p in config.points)
+        by_normalization -= sum(_DELTA[s] for c in config.components for s in c.intrinsic)
+        assert 1 - invariant_profile(config).arithmetic_genus == by_normalization
 
 
 def test_no_invariant_keeps_its_configuration_alive():
     """Only `build` and `invariant_profile` memoize, so a parsed
     configuration is freed once its caller lets go of it."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
-    for function in (classify, loop_rank, euler_characteristic, picard_descriptor):
+    for function in (classify, fiber_obstruction, intersection_matrix, loop_rank):
         function(config)
     ref = weakref.ref(config)
     del config

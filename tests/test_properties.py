@@ -17,13 +17,10 @@ from kodaira import (
     build,
     catalog_types,
     classify,
-    divisor_square,
     fiber_obstruction,
-    gcd_multiplicity,
     intersection_matrix,
     invariant_profile,
     loop_rank,
-    radical_basis,
 )
 from oracles import (
     bipartite_graph,
@@ -94,7 +91,7 @@ def test_intersection_matrix_shape(config):
 def test_reduce_is_idempotent_and_primitive(config):
     once = reduce(config)
     assert reduce(once) == once
-    assert gcd_multiplicity(once) == 1
+    assert math.gcd(*once.multiplicities()) == 1
     assert once.points == config.points
     assert [c.name for c in once.components] == [c.name for c in config.components]
 
@@ -224,7 +221,6 @@ def test_fiber_test_is_zariskis_lemma(config):
     rows = dense_matrix(config)
     assert intersection_matrix(config) == tuple(map(tuple, rows))
     product = [sum(x * v for x, v in zip(row, mult)) for row in rows]
-    assert divisor_square(config, mult) == sum(v * w for v, w in zip(mult, product))
 
     kernel = integer_kernel(rows)
     fiber = (
@@ -236,10 +232,6 @@ def test_fiber_test_is_zariskis_lemma(config):
     obstruction = fiber_obstruction(config)
     assert obstruction in (None, "M*m != 0")
     assert (obstruction is None) == fiber
-    if fiber:
-        (basis,) = radical_basis(config)
-        assert proportional(basis, mult)
-        assert all(type(x) is int for x in basis)
 
 
 _REDUCIBLE_TYPES = [t for t in catalog_types(6, 3) if build(t).n_components >= 2]
@@ -290,17 +282,48 @@ def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
         assert profile.kind == expected
 
 
+def two_components(a, b, local_types):
+    points = tuple(
+        SingularPoint(f"p{i}", local, ("a", "b")) for i, local in enumerate(local_types)
+    )
+    return CurveConfiguration((a, b), points)
+
+
+_NOT_FIBER_LIKE = "not fiber-like: M*m != 0"
+_INTRINSIC_ON_REDUCIBLE = "intrinsic singularities on a reducible configuration are not supported"
+_GENUS_ON_REDUCIBLE = (
+    "unsupported genus combination: genus-one component in a reducible configuration"
+)
+_NEGATIVE_UNIPOTENT = "negative unipotent dimension; the configuration is not fiber-like"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(configurations(), fiber_candidates(constrained=st.just(True))))
 @example(build(KodairaType("mI", 1, 3)))
 @example(build(KodairaType("I", 0)))
 @example(build(KodairaType("mI", 0, 2)))
 @example(CurveConfiguration((Component("c", 1, 0, 0, (IntrinsicType.NODE, IntrinsicType.CUSP)),)))
+@example(
+    two_components(
+        Component("a", 1, 0, -1, (IntrinsicType.NODE,)),
+        Component("b", 1, 0, -1),
+        [LocalType.TRANSVERSE],
+    )
+)
+@example(
+    two_components(Component("a", 1, 1, -2), Component("b", 1, 0, -2), [LocalType.TRANSVERSE] * 2)
+)
+@example(
+    two_components(Component("a", 1, 0, -3), Component("b", 1, 0, -3), [LocalType.TRANSVERSE] * 3)
+)
 def test_profile_fields_against_oracles(config):
-    """invariant_profile reports "not fiber-like" exactly when M*m != 0. A
-    profile it returns has the cycle rank of Roberts' graph as K^-1 and
-    torus rank; chi = -m.Mm/2, or 1 - g - sum of deltas on one singular
-    component, gives g_a = 1 - chi and the unipotent dimension
+    """invariant_profile raises exactly the first of its four rejections
+    that the oracles find, and nothing on any other input: M*m != 0,
+    intrinsic singularities on a reducible curve, a genus-one component on
+    a reducible curve, and a negative unipotent dimension. A profile it
+    returns has the cycle rank of Roberts' graph as K^-1 and torus rank;
+    chi = -m.Mm/2, or 1 - g - sum of deltas on one singular component,
+    gives g_a = 1 - chi and the unipotent dimension
     1 - chi - torus - elliptic; the elliptic rank is the sum of the genera,
     the discrete rank the component count, and G0 has rank components + 1
     over rational components and 2 over one genus-1 component. A reduced
@@ -309,25 +332,32 @@ def test_profile_fields_against_oracles(config):
     curve has no count."""
     mult = config.multiplicities()
     product = [sum(x * v for x, v in zip(row, mult)) for row in dense_matrix(config)]
-    try:
-        profile = invariant_profile(config)
-    except ValueError as error:
-        assert (str(error) == "not fiber-like: M*m != 0") == any(product)
-        return
-    assert not any(product)
     graph = bipartite_graph(reduce(config))
     torus = cycle_rank_by_spanning_forest(graph)
-    reduced = reduce(config) == config
-    points = sum(1 for vertex in graph if vertex[0] != "c")
-    assert profile.reduced == reduced
-    assert profile.smooth == (reduced and points == 0)
-    assert profile.singular_point_count == (points if reduced else None)
     genera = [c.geometric_genus for c in config.components]
     first, *rest = config.components
     if first.intrinsic and not rest:
         chi = 1 - first.geometric_genus - len(first.intrinsic)
     else:
         chi = -(sum(v * w for v, w in zip(mult, product)) // 2)
+    rejections = [
+        (_NOT_FIBER_LIKE, any(product)),
+        (_INTRINSIC_ON_REDUCIBLE, bool(rest) and any(c.intrinsic for c in config.components)),
+        (_GENUS_ON_REDUCIBLE, bool(rest) and any(genera)),
+        (_NEGATIVE_UNIPOTENT, 1 - chi - torus - sum(genera) < 0),
+    ]
+    expected_error = next((message for message, applies in rejections if applies), None)
+    try:
+        profile = invariant_profile(config)
+    except ValueError as error:
+        assert str(error) == expected_error
+        return
+    assert expected_error is None
+    reduced = reduce(config) == config
+    points = sum(1 for vertex in graph if vertex[0] != "c")
+    assert profile.reduced == reduced
+    assert profile.smooth == (reduced and points == 0)
+    assert profile.singular_point_count == (points if reduced else None)
     assert profile.k_minus_one_rank == torus
     assert profile.arithmetic_genus == 1 - chi
     assert profile.picard.torus_rank == torus
