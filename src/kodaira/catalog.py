@@ -144,25 +144,6 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 }
 
 
-def _cycle(n: int, multiplicity: int) -> CurveConfiguration:
-    components = tuple(
-        Component(f"c{i + 1}", multiplicity, 0, -2) for i in range(n)
-    )
-    if n == 2:
-        points = (
-            SingularPoint("p1", LocalType.TRANSVERSE, ("c1", "c2")),
-            SingularPoint("p2", LocalType.TRANSVERSE, ("c1", "c2")),
-        )
-    else:
-        points = tuple(
-            SingularPoint(
-                f"p{i + 1}", LocalType.TRANSVERSE, (f"c{i + 1}", f"c{(i + 1) % n + 1}")
-            )
-            for i in range(n)
-        )
-    return CurveConfiguration(components, points)
-
-
 def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, ...]) -> CurveConfiguration:
     return CurveConfiguration(
         (Component("c1", multiplicity, genus, 0, intrinsic),)
@@ -170,12 +151,17 @@ def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, 
 
 
 def _from_incidences(
-    mults: tuple[int, ...], incidences: tuple[tuple[int, int], ...]
+    mults: tuple[int, ...],
+    incidences: tuple[tuple[int, ...], ...],
+    local: LocalType = LocalType.TRANSVERSE,
 ) -> CurveConfiguration:
-    components = tuple(Component(f"c{i + 1}", m, 0, -2) for i, m in enumerate(mults))
+    """(-2)-curves c1, c2, ... of the given multiplicities and one point of
+    type `local` per incidence, which lists component numbers from 1."""
+    names = [f"c{i + 1}" for i in range(len(mults))]
+    components = tuple(Component(name, m, 0, -2) for name, m in zip(names, mults))
     points = tuple(
-        SingularPoint(f"p{k + 1}", LocalType.TRANSVERSE, (f"c{a}", f"c{b}"))
-        for k, (a, b) in enumerate(incidences)
+        SingularPoint(f"p{k + 1}", local, tuple([names[i - 1] for i in incident]))
+        for k, incident in enumerate(incidences)
     )
     return CurveConfiguration(components, points)
 
@@ -191,19 +177,14 @@ def build(kind: KodairaType) -> CurveConfiguration:
             return _irreducible(mult, 1, ())
         if n == 1:
             return _irreducible(mult, 0, (IntrinsicType.NODE,))
-        return _cycle(n, mult)
+        pairs = [(1, 2), (1, 2)] if n == 2 else [(i, i % n + 1) for i in range(1, n + 1)]
+        return _from_incidences((mult,) * n, tuple(pairs))
     if family == "II":
         return _irreducible(1, 0, (IntrinsicType.CUSP,))
     if family == "III":
-        return CurveConfiguration(
-            (Component("c1"), Component("c2")),
-            (SingularPoint("p1", LocalType.TACNODE, ("c1", "c2")),),
-        )
+        return _from_incidences((1, 1), ((1, 2),), LocalType.TACNODE)
     if family == "IV":
-        return CurveConfiguration(
-            (Component("c1"), Component("c2"), Component("c3")),
-            (SingularPoint("p1", LocalType.ORDINARY_TRIPLE, ("c1", "c2", "c3")),),
-        )
+        return _from_incidences((1, 1, 1), ((1, 2, 3),), LocalType.ORDINARY_TRIPLE)
     if family == "IStar":
         assert n is not None
         mults = (1, 1, 1, 1) + (2,) * (n + 1)
@@ -243,7 +224,9 @@ def classify(config: CurveConfiguration) -> KodairaType | None:
         E~6,7,8   sorted _STAR_DATA     IVStar, IIIStar, IIStar
 
     A tacnode (an off-diagonal 2) or triple point (a triangle) exists only
-    in A~1 resp. A~2, as its only point. No row is a star scaled by k >= 2.
+    in A~1 resp. A~2, as its only point. No row is a star scaled by k >= 2:
+    only D~'s null root has four 1s, so a sorted m that starts 1, 1, 1, 1, 2
+    is that root.
     """
     if fiber_obstruction(config) is not None:
         return None
@@ -262,7 +245,7 @@ def classify(config: CurveConfiguration) -> KodairaType | None:
         if mult == 1:
             return KodairaType("III" if local is LocalType.TACNODE else "IV")
         return None
-    if mults[:5] == [1, 1, 1, 1, 2] and mults[-1] == 2:
+    if mults[:5] == [1, 1, 1, 1, 2]:
         return KodairaType("IStar", n - 5)
     for family, (star, _) in _STAR_DATA.items():
         if sorted(star) == mults:

@@ -88,10 +88,6 @@ def _dumps(value: Any, pad: str = "") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _emit_json(payload: Any) -> None:
-    print(_dumps(payload))
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     if args.format == "json":
         families = [
@@ -99,7 +95,7 @@ def cmd_list(args: argparse.Namespace) -> int:
             for group, entries in _CATALOG_LISTING
             for name, text in entries
         ]
-        _emit_json({"families": families})
+        print(_dumps({"families": families}))
         return 0
     print("Kodaira curve catalog")
     for group, entries in _CATALOG_LISTING:
@@ -153,7 +149,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         ("intersection matrix", _matrix_lines(matrix), "intersection_matrix", matrix),
     ]
     if args.format == "json":
-        _emit_json({key: value for _, _, key, value in rows if key is not None})
+        print(_dumps({key: value for _, _, key, value in rows if key is not None}))
         return 0
     for label, text, _, _ in rows:
         if isinstance(text, str):
@@ -170,7 +166,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     kind = classify(config)
     if kind is not None:
         if args.format == "json":
-            _emit_json({"recognized": True, "type": str(kind)})
+            print(_dumps({"recognized": True, "type": str(kind)}))
         else:
             print(str(kind))
         return 0
@@ -184,7 +180,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
         if obstruction is None:
             payload["dualising_sheaf"] = "assumed trivial by fiber convention"
-        _emit_json(payload)
+        print(_dumps(payload))
     else:
         print(f"not a Kodaira curve: {reason}")
     return 2
@@ -208,7 +204,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     kind_b = parse_type(args.right)
     verdict = compare(build(kind_a), build(kind_b))
     if args.format == "json":
-        _emit_json(_verdict_payload(str(kind_a), str(kind_b), verdict))
+        print(_dumps(_verdict_payload(str(kind_a), str(kind_b), verdict)))
         return 0
     print(f"left: {kind_a}")
     print(f"right: {kind_b}")
@@ -225,12 +221,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     table = partner_matrix(types)
     names = [str(t) for t in types]
     if args.format == "json":
-        _emit_json(
-            {
-                "types": names,
-                "cells": [[v.kind.value for v in row] for row in table],
-            }
-        )
+        print(_dumps({"types": names, "cells": [[v.kind.value for v in row] for row in table]}))
         return 0
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     width = max(len(name) for name in names)
@@ -239,12 +230,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     for name, row in zip(names, table):
         print(f"{name:<{width}}" + "".join([cell[v.kind] for v in row]))
     return 0
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on usage errors
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -269,7 +254,7 @@ def _int_at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="kodaira",
         description="Kodaira curves: catalog, invariants and Fourier-Mukai partner checks.",
     )
@@ -311,11 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (TypeSpecError, DocumentError, UnicodeDecodeError, OSError) as exc:

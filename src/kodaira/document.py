@@ -72,7 +72,7 @@ def _parse_component(tokens: list[str], line: int) -> Component:
         raise DocumentError(str(exc), line) from None
 
 
-def _parse_point(tokens: list[str], known: set[str], line: int) -> SingularPoint:
+def _parse_point(tokens: list[str], known: dict[str, int], line: int) -> SingularPoint:
     if len(tokens) < 2:
         raise DocumentError("point record needs: name local_type components...", line)
     name = tokens[0]
@@ -125,7 +125,7 @@ def parse_document(text: str) -> CurveConfiguration:
             seen[component.name] = lineno
             components.append(component)
         elif section == "points":
-            points.append(_parse_point(tokens, set(seen), lineno))
+            points.append(_parse_point(tokens, seen, lineno))
         else:
             raise DocumentError("content before any [components]/[points] section", lineno)
     if not components:

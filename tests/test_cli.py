@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from kodaira import (
     intersection_matrix,
     invariant_profile,
     invariants,
+    serialize_document,
 )
 from kodaira.cli import _DSG_TEXT, _dumps, main
 from readme_examples import REPO, readme_console_examples
@@ -44,10 +46,52 @@ def test_readme_examples_reproduce_byte_for_byte(
 
 
 class TestExitCodes:
-    def test_unknown_command_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "frobnicate")
+    def test_unknown_command_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "frobnicate")
         assert code == 1
-        assert err
+        assert out == ""
+        # argparse renders the list of choices differently across Python versions
+        usage = "usage: kodaira [-h] {list,show,classify,compare,matrix} ...\n"
+        assert err.startswith(
+            usage + "kodaira: error: argument command: invalid choice: 'frobnicate' (choose from "
+        )
+        assert err.endswith(")\n") and err.count("\n") == 2
+        assert all(name in err for name in ("list", "show", "classify", "compare", "matrix"))
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ("show",),
+                "usage: kodaira show [-h] [--format {table,json}] type\n"
+                "kodaira show: error: the following arguments are required: type\n",
+            ),
+            (
+                ("matrix", "--max-n", "1_0"),
+                "usage: kodaira matrix [-h] [--max-n MAX_N] [--max-m MAX_M]\n"
+                "                      [--format {table,json}]\n"
+                "kodaira matrix: error: argument --max-n: invalid int value: '1_0'\n",
+            ),
+        ],
+    )
+    def test_usage_error_prints_usage_and_exits_one(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+        assert run_cli(capsys, *argv) == (1, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            (("--help",), "usage: kodaira [-h] {list,show,classify,compare,matrix} ...\n"),
+            (("show", "--help"), "usage: kodaira show [-h] [--format {table,json}] type\n"),
+        ],
+    )
+    def test_help_prints_usage_to_stdout_and_exits_zero(self, capsys, monkeypatch, argv, usage):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith(usage)
+        assert err == ""
 
     def test_bad_type_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "show", "W(3)")
@@ -165,6 +209,11 @@ class TestJsonOutput:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+    def test_classify_json_for_recognized_curve(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)
+        code, out, err = run_cli(capsys, "classify", "docs/examples/istar0.curve", "--format", "json")
+        assert (code, out, err) == (0, '{\n  "recognized": true,\n  "type": "IStar(0)"\n}\n', "")
 
     def test_classify_json_for_unrecognized_fiber_like_curve(self, capsys, tmp_path):
         doc = tmp_path / "double_tacnode.curve"
@@ -303,3 +352,29 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert result.returncode == 0
     assert "verdict: NotEquivalent" in result.stdout
     assert "isolated singularities" in result.stdout
+
+
+def test_module_entry_point_exits_one_on_a_usage_error():
+    result = subprocess.run(
+        [sys.executable, "-m", "kodaira", "bogus"], capture_output=True, text=True, cwd=REPO
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: kodaira ")
+
+
+def test_classify_time_grows_linearly_with_the_document(capsys, tmp_path):
+    """A cycle four times as long classifies in well under 8 times the time;
+    a parse that copies the component names per point record gives about 28."""
+    best = []
+    for n in (2000, 8000):
+        path = tmp_path / f"I{n}.curve"
+        path.write_text(serialize_document(build(KodairaType("I", n))))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert main(["classify", str(path)]) == 0
+            times.append(time.perf_counter() - start)
+        best.append(min(times))
+    assert capsys.readouterr().out == "I(2000)\n" * 3 + "I(8000)\n" * 3
+    assert best[1] / best[0] < 8, best
