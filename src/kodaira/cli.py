@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .catalog import TypeSpecError, build, catalog_types, classify, parse_type
-from .curves import fiber_obstruction, intersection_matrix
+from .curves import _sparse_rows, fiber_obstruction
 from .document import _INTEGER, DocumentError, parse_document
 from .invariants import DsgStatus, invariant_profile
 from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
@@ -105,12 +106,18 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_lines(entries: tuple[tuple[int, ...], ...]) -> Iterator[str]:
-    values = set().union(*entries)
-    width = max(len(str(v)) for v in values)
-    cell = {v: f"{v:>{width}}" for v in values}
-    for row in entries:
-        yield "  [" + " ".join(map(cell.__getitem__, row)) + "]"
+def _row_texts(rows: list[dict[int, int]], sep: str, cell: Callable[[int], str]) -> Iterator[str]:
+    """`sep.join(map(cell, row))` per dense row, sliced from the all-zero row's text."""
+    zero = cell(0)
+    blank = sep.join([zero] * len(rows))
+    step = len(zero) + len(sep)
+    for row in rows:
+        parts, end = [], 0
+        for j in sorted(row):
+            parts += blank[end : j * step], cell(row[j])
+            end = j * step + len(zero)
+        parts.append(blank[end:])
+        yield "".join(parts)
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -124,11 +131,11 @@ def cmd_show(args: argparse.Namespace) -> int:
         locus = "the whole curve (non-reduced)"
     else:
         locus = f"{count} isolated point" + ("s" if count != 1 else "")
-    mults, matrix = config.multiplicities(), intersection_matrix(config)
+    mults, matrix = config.multiplicities(), _sparse_rows(config)
     # (text label, text value, JSON key, JSON value) in text order; no key
-    # means text only. The matrix text is a generator of lines, so JSON
-    # output never formats them.
-    rows: list[tuple[str, Any, str | None, Any]] = [
+    # means text only. The intersection matrix follows them in both formats,
+    # written a row at a time.
+    rows: list[tuple[str, str, str | None, Any]] = [
         ("type", str(kind), "type", str(kind)),
         ("subclass", p.subclass.value, "subclass", p.subclass.value),
         ("components", str(p.n_components), "components", p.n_components),
@@ -146,16 +153,24 @@ def cmd_show(args: argparse.Namespace) -> int:
         ("singular locus", locus, "singular_point_count", count),
         ("dualising sheaf", "trivial", "dualising_sheaf", "trivial"),
         ("D_sg", _DSG_TEXT[status], "dsg_status", status.value),
-        ("intersection matrix", _matrix_lines(matrix), "intersection_matrix", matrix),
     ]
     if args.format == "json":
-        print(_dumps({key: value for _, _, key, value in rows if key is not None}))
+        # the document around a placeholder matrix, split where the rows go
+        payload = {key: value for _, _, key, value in rows if key} | {"intersection_matrix": 0}
+        head, tail = _dumps(payload).split('"intersection_matrix": 0')
+        texts = _row_texts(matrix, ",\n      ", str)
+        print(head + '"intersection_matrix": [\n    [\n      ' + next(texts), end="")
+        for text in texts:
+            print("\n    ],\n    [\n      " + text, end="")
+        print("\n    ]\n  ]" + tail)
         return 0
     for label, text, _, _ in rows:
-        if isinstance(text, str):
-            print(f"{label}: {text}")
-        else:
-            print(f"{label}:", *text, sep="\n")
+        print(f"{label}: {text}")
+    print("intersection matrix:")
+    # a 0 is one character wide, so the entries of the sparse rows set the width
+    width = max(len(str(e)) for row in matrix for e in row.values())
+    for text in _row_texts(matrix, " ", f"{{:>{width}}}".format):
+        print(f"  [{text}]")
     return 0
 
 
@@ -300,6 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: not an input error. With fd 1
+        # on devnull the flush at exit fails silently (the `signal` docs' SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TypeSpecError, DocumentError, UnicodeDecodeError, OSError) as exc:
         # UnicodeDecodeError is a ValueError, but undecodable bytes are
         # unparseable input, not a failed validation

@@ -189,24 +189,33 @@ def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:
     return product
 
 
+def _sparse_rows(config: CurveConfiguration) -> list[dict[int, int]]:
+    """Row i of the intersection matrix as {column: entry}; other entries are 0.
+
+    All rows together hold O(components + points) entries.
+    """
+    rows = [{i: c.self_intersection} for i, c in enumerate(config.components)]
+    for i, j, k in _pairings(config):
+        rows[i][j] = rows[i].get(j, 0) + k
+        rows[j][i] = rows[j].get(i, 0) + k
+    return rows
+
+
 def intersection_matrix(config: CurveConfiguration) -> tuple[tuple[int, ...], ...]:
     """Pairwise intersection numbers of the components, as a tuple of rows.
 
     The diagonal holds the self-intersections; off the diagonal, every
     point adds its local contribution to each pair of its incident
-    components. The dense form is built only here, for display.
+    components. This is the dense form of `_sparse_rows`; `show` writes
+    those rows and never builds it.
     """
-    n = config.n_components
-    m = [[0] * n for _ in range(n)]
-    for i, c in enumerate(config.components):
-        m[i][i] = c.self_intersection
-    for i, j, k in _pairings(config):
-        m[i][j] += k
-        m[j][i] += k
-    # freeze each row in place: a row is held twice only while it is copied
-    for i, row in enumerate(m):
-        m[i] = tuple(row)
-    return tuple(m)
+    dense = []
+    for row in _sparse_rows(config):
+        entries = [0] * config.n_components
+        for j, e in row.items():
+            entries[j] = e
+        dense.append(tuple(entries))
+    return tuple(dense)
 
 
 def fiber_obstruction(config: CurveConfiguration) -> str | None:

@@ -3,8 +3,10 @@
 Each oracle recomputes a quantity along a route the library does not use:
 kernels by unimodular integer column reduction instead of rational RREF,
 cycle ranks by growing a spanning forest, semidefiniteness by signs of all
-principal minors, reference affine diagrams built directly as networkx
-multigraphs, and isomorphism of configurations by networkx graph matching.
+principal minors, the intersection matrix cell by cell from the point
+records instead of from sparse rows, reference affine diagrams built
+directly as networkx multigraphs, and isomorphism of configurations by
+networkx graph matching.
 The dual graph and Roberts' branch-incidence graph of a configuration are
 networkx multigraphs too; the library reads what it needs of them off the
 records in closed form.
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from kodaira import Component, CurveConfiguration, IntrinsicType, SingularPoint
+from kodaira import Component, CurveConfiguration, IntrinsicType, LocalType, SingularPoint
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,6 +109,23 @@ def negative_semidefinite_by_minors(matrix) -> bool:
             if sign * determinant(sub) < 0:
                 return False
     return True
+
+
+PAIR_WEIGHT = {LocalType.TRANSVERSE: 1, LocalType.TACNODE: 2, LocalType.ORDINARY_TRIPLE: 1}
+
+
+def dense_matrix(config: CurveConfiguration) -> list[list[int]]:
+    """The intersection matrix written out from the records, by hand."""
+    index = {c.name: i for i, c in enumerate(config.components)}
+    rows = [[0] * config.n_components for _ in config.components]
+    for i, c in enumerate(config.components):
+        rows[i][i] = c.self_intersection
+    for p in config.points:
+        for a in p.incident:
+            for b in p.incident:
+                if a != b:
+                    rows[index[a]][index[b]] += PAIR_WEIGHT[p.local_type]
+    return rows
 
 
 def reduce(config: CurveConfiguration) -> CurveConfiguration:

@@ -1,22 +1,33 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kodaira import (
+    Component,
+    CurveConfiguration,
     KodairaType,
+    LocalType,
+    SingularPoint,
     build,
     catalog_types,
-    intersection_matrix,
+    cli,
     invariant_profile,
     invariants,
     serialize_document,
 )
 from kodaira.cli import _DSG_TEXT, _dumps, main
+from kodaira.curves import _sparse_rows
+from oracles import dense_matrix
 from readme_examples import REPO, readme_console_examples
 
 
@@ -286,19 +297,128 @@ _ORACLE_TYPES = catalog_types(8, 3) + [
 ]
 
 
+def per_cell_lines(entries) -> str:
+    """The table's matrix lines, every cell formatted on its own."""
+    width = max(len(str(e)) for row in entries for e in row)
+    return "".join("  [" + " ".join(f"{e:>{width}}" for e in row) + "]\n" for row in entries)
+
+
 @pytest.mark.parametrize("kind", _ORACLE_TYPES, ids=str)
 def test_show_matrix_matches_a_per_cell_rendering(capsys, kind):
-    entries = intersection_matrix(build(kind))
-    width = max(len(str(e)) for row in entries for e in row)
-    expected = "".join("  [" + " ".join(f"{e:>{width}}" for e in row) + "]\n" for row in entries)
+    entries = dense_matrix(build(kind))
     code, out, _ = run_cli(capsys, "show", str(kind))
     assert code == 0
-    assert out.split("intersection matrix:\n", 1)[1] == expected
+    assert out.split("intersection matrix:\n", 1)[1] == per_cell_lines(entries)
 
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", "json")
     assert code == 0
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
-    assert json.loads(out)["intersection_matrix"] == [list(row) for row in entries]
+    assert json.loads(out)["intersection_matrix"] == entries
+
+
+@st.composite
+def matrix_configurations(draw):
+    """Connected configurations whose matrices test the row renderer.
+
+    Self-intersections may be 0, positive or several digits wide, and a
+    point may be repeated up to 8 times, so a pair can sum to two digits at
+    a tacnode, a transverse crossing or a triple point.
+    """
+    n = draw(st.integers(1, 6))
+    square = st.sampled_from([-2, -1, 0, 1, 9]) | st.integers(-120, 12)
+    squares = draw(st.lists(square, min_size=n, max_size=n))
+    pairwise = st.sampled_from([LocalType.TRANSVERSE, LocalType.TACNODE])
+    incidences = [(draw(pairwise), (i, draw(st.integers(0, i - 1)))) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, 3))):
+        local = draw(st.sampled_from(list(LocalType)))
+        if local.arity <= n:
+            ids = draw(st.permutations(range(n)))[: local.arity]
+            incidences += [(local, ids)] * draw(st.integers(1, 8))
+    return CurveConfiguration(
+        tuple(Component(f"c{i}", 1, 0, square) for i, square in enumerate(squares)),
+        tuple(
+            SingularPoint(f"p{k}", local, tuple(f"c{i}" for i in ids))
+            for k, (local, ids) in enumerate(incidences)
+        ),
+    )
+
+
+# two curves of square 0 meeting in six tacnodes: [[0, 12], [12, 0]], whose
+# width comes from off the diagonal
+_TACNODE_PAIR = CurveConfiguration(
+    (Component("a", 1, 0, 0), Component("b", 1, 0, 0)),
+    tuple(SingularPoint(f"p{k}", LocalType.TACNODE, ("a", "b")) for k in range(6)),
+)
+
+
+def show_output(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_configurations())
+@example(_TACNODE_PAIR)
+def test_show_renders_any_matrix_like_a_per_cell_rendering(config):
+    """`_row_texts` slices each row out of one formatted zero row; both
+    formats of `show` must still read as if every cell were formatted."""
+    entries = dense_matrix(config)
+    rows = _sparse_rows(config)
+    with mock.patch.object(cli, "_sparse_rows", lambda _: rows):
+        table = show_output("show", "I(0)")
+        text = show_output("show", "I(0)", "--format", "json")
+    assert table.split("intersection matrix:\n", 1)[1] == per_cell_lines(entries)
+    payload = {**json.loads(text), "intersection_matrix": entries}
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class DigestSink:
+    """A stdout that keeps only the byte count and a SHA-256 of the text."""
+
+    def __init__(self) -> None:
+        self.size, self.digest = 0, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.size += len(data)
+        self.digest.update(data)
+        return len(text)
+
+
+def digest_of(argv: list[str]) -> DigestSink:
+    sink = DigestSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    return sink
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_show_writes_a_large_matrix_in_small_memory(fmt):
+    """`show I(3000)` holds 9 million cells, 27 MB of table text and 72 MB
+    of JSON; written a row at a time from the sparse rows, it allocates
+    a few MiB at its peak."""
+    argv = ["show", "I(3000)", "--format", fmt]
+    entries = dense_matrix(build(KodairaType("I", 3000)))
+    values = set().union(*entries)
+    width = max(len(str(e)) for e in values)
+
+    def per_cell(rows, sep, cell):
+        """`cli._row_texts` as a lookup per cell of the oracle's matrix."""
+        text = {e: f"{e:>{width}}" if sep == " " else str(e) for e in values}
+        return (sep.join(map(text.__getitem__, row)) for row in entries)
+
+    with mock.patch.object(cli, "_row_texts", per_cell):
+        expected = digest_of(argv)
+    tracemalloc.start()
+    try:
+        sink = digest_of(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (sink.size, sink.digest.hexdigest()) == (expected.size, expected.digest.hexdigest())
+    assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
@@ -352,6 +472,21 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert result.returncode == 0
     assert "verdict: NotEquivalent" in result.stdout
     assert "isolated singularities" in result.stdout
+
+
+def test_a_closed_stdout_exits_one_without_a_message():
+    """`kodaira show "I(2000)" | head -1`: the reader goes away mid-matrix."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "kodaira", "show", "I(2000)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO,
+    ) as proc:
+        assert proc.stdout.readline() == b"type: I(2000)\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_module_entry_point_exits_one_on_a_usage_error():

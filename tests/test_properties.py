@@ -23,8 +23,10 @@ from kodaira import (
     loop_rank,
 )
 from oracles import (
+    PAIR_WEIGHT,
     bipartite_graph,
     cycle_rank_by_spanning_forest,
+    dense_matrix,
     dual_graph,
     first_betti,
     integer_kernel,
@@ -137,9 +139,6 @@ def test_transverse_only_dual_graphs_satisfy_the_point_count_formula(config):
     assert betti == len(reduced.points) - reduced.n_components + 1
 
 
-_PAIR_WEIGHT = {LocalType.TRANSVERSE: 1, LocalType.TACNODE: 2, LocalType.ORDINARY_TRIPLE: 1}
-
-
 @st.composite
 def fiber_candidates(
     draw,
@@ -175,7 +174,7 @@ def fiber_candidates(
             for a in ids:
                 for b in ids:
                     if a != b:
-                        sums[a] += _PAIR_WEIGHT[local] * mults[b]
+                        sums[a] += PAIR_WEIGHT[local] * mults[b]
         return sums
 
     if draw(constrained):
@@ -191,20 +190,6 @@ def fiber_candidates(
         for k, (local, ids) in enumerate(incidences)
     )
     return CurveConfiguration(components, points)
-
-
-def dense_matrix(config):
-    """The intersection matrix written out from the records, by hand."""
-    index = {c.name: i for i, c in enumerate(config.components)}
-    rows = [[0] * config.n_components for _ in config.components]
-    for i, c in enumerate(config.components):
-        rows[i][i] = c.self_intersection
-    for p in config.points:
-        for a in p.incident:
-            for b in p.incident:
-                if a != b:
-                    rows[index[a]][index[b]] += _PAIR_WEIGHT[p.local_type]
-    return rows
 
 
 def proportional(v, w):
