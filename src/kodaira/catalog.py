@@ -210,11 +210,20 @@ def _classify_irreducible(config: CurveConfiguration) -> KodairaType | None:
 def classify(config: CurveConfiguration) -> KodairaType | None:
     """Recognize a configuration as a catalog type, or return None.
 
-    Only the isomorphism class of the decorated configuration matters. Past
-    the fiber test and the one-component case, the type is read off the
-    sorted multiplicities and the local type of any one point. For smooth
-    rational (-2)-curves with M * m = 0, Zariski's lemma (Barth-Hulek-Peters-
-    Van de Ven, Compact Complex Surfaces, Lemma III.8.2) and Kac
+    Only the isomorphism class of the decorated configuration matters. This
+    is the fiber test and then `_fiber_type`; a caller that also reports the
+    test's obstruction runs the two itself, so the M * m product runs once.
+    """
+    return _fiber_type(config) if fiber_obstruction(config) is None else None
+
+
+def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
+    """The catalog type of a configuration that passes the fiber test, or None.
+
+    Past the one-component case, the type is read off the sorted
+    multiplicities and the local type of any one point. For smooth rational
+    (-2)-curves with M * m = 0, Zariski's lemma (Barth-Hulek-Peters-Van de
+    Ven, Compact Complex Surfaces, Lemma III.8.2) and Kac
     (Infinite-Dimensional Lie Algebras, Theorem 4.3 and Table Aff 1) make -M
     a symmetric affine Cartan matrix and m a multiple k * delta of its null
     root. The sorted null roots are pairwise distinct:
@@ -228,8 +237,6 @@ def classify(config: CurveConfiguration) -> KodairaType | None:
     only D~'s null root has four 1s, so a sorted m that starts 1, 1, 1, 1, 2
     is that root.
     """
-    if fiber_obstruction(config) is not None:
-        return None
     if config.n_components == 1:
         return _classify_irreducible(config)
     if any(c.geometric_genus != 0 or c.intrinsic for c in config.components):

@@ -15,11 +15,11 @@ import sys
 from dataclasses import asdict
 from typing import Any, Callable, Iterator
 
-from .catalog import TypeSpecError, build, catalog_types, classify, parse_type
+from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type
 from .curves import _sparse_rows, fiber_obstruction
 from .document import _INTEGER, DocumentError, parse_document
-from .invariants import DsgStatus, invariant_profile
-from .partner import PartnerVerdict, VerdictKind, compare, partner_matrix
+from .invariants import DsgStatus, InvariantProfile, invariant_profile
+from .partner import PartnerVerdict, VerdictKind, _agreeing, _classes, compare
 
 _DSG_TEXT = {
     DsgStatus.TRIVIAL: "trivial (smooth curve)",
@@ -178,14 +178,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.path, encoding="utf-8-sig") as handle:
         text = handle.read()
     config = parse_document(text)
-    kind = classify(config)
+    obstruction = fiber_obstruction(config)
+    kind = _fiber_type(config) if obstruction is None else None
     if kind is not None:
         if args.format == "json":
             print(_dumps({"recognized": True, "type": str(kind)}))
         else:
             print(str(kind))
         return 0
-    obstruction = fiber_obstruction(config)
     reason = obstruction if obstruction is not None else "no catalog match"
     if args.format == "json":
         payload: dict[str, Any] = {
@@ -232,18 +232,39 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    """The kind of every `partner_matrix` cell, read off the profile classes.
+
+    A cell across two classes is NotEquivalent; inside a class it is the
+    kind `_agreeing` gives the class. Each type meets `_agreeing` once,
+    paired with its class's first member, so its check that agreeing
+    reduced types are one type runs for every type. No witness is built,
+    and each class's row text is built once.
+    """
     types = catalog_types(args.max_n, args.max_m)
-    table = partner_matrix(types)
+    _, profiles, _, classes = _classes(types)
+    first: dict[int, InvariantProfile] = {}
+    inside: dict[int, VerdictKind] = {}
+    for profile, k in zip(profiles, classes):
+        # the note tells identical configurations apart; the table prints no note
+        inside[k] = _agreeing(first.setdefault(k, profile), profile, False).kind
     names = [str(t) for t in types]
+    outside = VerdictKind.NOT_EQUIVALENT
     if args.format == "json":
-        print(_dumps({"types": names, "cells": [[v.kind.value for v in row] for row in table]}))
+        cells = {
+            k: [(kind if c == k else outside).value for c in classes] for k, kind in inside.items()
+        }
+        print(_dumps({"types": names, "cells": [cells[k] for k in classes]}))
         return 0
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     width = max(len(name) for name in names)
     print(" " * width + "".join(f" {name:>{width}}" for name in names))
     cell = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}
-    for name, row in zip(names, table):
-        print(f"{name:<{width}}" + "".join([cell[v.kind] for v in row]))
+    lines = {
+        k: "".join([cell[kind] if c == k else cell[outside] for c in classes])
+        for k, kind in inside.items()
+    }
+    for name, k in zip(names, classes):
+        print(f"{name:<{width}}" + lines[k])
     return 0
 
 

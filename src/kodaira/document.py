@@ -12,7 +12,9 @@ Hand-written documents with two sections::
     p1 transverse c1 c2
 
 Local types are transverse, tacnode (two components each) and
-ordinary_triple (three components). Parse errors carry the line number.
+ordinary_triple (three components). A line ends at a line feed, a
+carriage return or the two together, and nowhere else. Parse errors carry
+the line number.
 """
 
 from __future__ import annotations
@@ -101,7 +103,10 @@ def parse_document(text: str) -> CurveConfiguration:
     points: list[SingularPoint] = []
     seen: dict[str, int] = {}
     section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line: `str.splitlines` would also split at
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, and miscount the lines
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

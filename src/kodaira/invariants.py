@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .catalog import KodairaType, Subclass, classify, subclass_of
+from .catalog import KodairaType, Subclass, _fiber_type, subclass_of
 from .curves import CurveConfiguration, fiber_obstruction
 
 
@@ -117,10 +117,9 @@ def loop_rank(config: CurveConfiguration) -> int:
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a fiber-like configuration, and its type.
 
-    `classify` runs the fiber test, so its obstruction is asked for only
-    when no type is recognized; the recognized type is kept as `kind`, so
-    no reader classifies again. Past the test, M * m = 0, so the fiber
-    D = sum m_i C_i has D^2 = m * (M * m) = 0.
+    The fiber test runs once, and the recognizer past it reads the type,
+    which is kept as `kind`, so no reader classifies again. Past the test,
+    M * m = 0, so the fiber D = sum m_i C_i has D^2 = m * (M * m) = 0.
 
     - chi(O_X): the surface is a relatively minimal elliptic fibration, so
       the canonical class pairs to zero with every component and
@@ -141,11 +140,10 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     dimension are outside the supported shapes and raise ValueError, in
     that order.
     """
-    kind = classify(config)
-    if kind is None:
-        obstruction = fiber_obstruction(config)
-        if obstruction is not None:
-            raise ValueError(f"not fiber-like: {obstruction}")
+    obstruction = fiber_obstruction(config)
+    if obstruction is not None:
+        raise ValueError(f"not fiber-like: {obstruction}")
+    kind = _fiber_type(config)
     n = config.n_components
     intrinsic = [s for c in config.components for s in c.intrinsic]
     if intrinsic and n >= 2:

@@ -10,9 +10,11 @@ agreement only yields "possibly equivalent".
 
 `compare` and `partner_matrix` share one ordered table of checks and one
 witness builder. The matrix computes one profile per type and numbers its
-distinct rows of check values. Each check fills one table over pairs of its
-own distinct values, so a witness is built once per check and pair of
-values, and the cell of two distinct rows joins their entries in check order.
+distinct rows of check values, the classes of `_classes`. Each check fills
+one table over pairs of its own distinct values, so a witness is built once
+per check and pair of values, and the cell of two distinct rows joins their
+entries in check order. The verdict kinds alone follow from the classes, so
+the CLI's `matrix` reads them there and builds no witness.
 """
 
 from __future__ import annotations
@@ -124,22 +126,37 @@ def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     return verdict if verdict.witnesses else _agreeing(px, py, x == y)
 
 
-def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
-    """Verdict for every ordered pair of catalog types.
+def _classes(
+    types: Sequence[KodairaType],
+) -> tuple[list[CurveConfiguration], list[InvariantProfile], list[tuple], list[int]]:
+    """Each type's configuration and profile, the distinct rows of check
+    values in order of first appearance, and each type's class: the number
+    of its row.
 
-    Unequal rows differ in a check both sides define (no singular point
-    count means differing "isolated singularities"), so their cell is
-    NotEquivalent and is read from `differing` by the two row numbers.
+    Types of two different classes differ in a check both sides define (no
+    singular point count means differing "isolated singularities"), so
+    their verdict is NotEquivalent. Types of one class agree on every
+    check, the subclass included, so `_agreeing` gives them one kind.
     """
     configs = [build(t) for t in types]
     profiles = [invariant_profile(c) for c in configs]
     numbers: dict[tuple, int] = {}
-    rows = [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
-    differing = _not_equivalent(list(numbers))
+    classes = [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
+    return configs, profiles, list(numbers), classes
+
+
+def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
+    """Verdict for every ordered pair of catalog types.
+
+    A cell across two classes is read from `differing` by the two class
+    numbers; a cell inside a class is `_agreeing`'s verdict.
+    """
+    configs, profiles, rows, classes = _classes(types)
+    differing = _not_equivalent(rows)
     return [
         [
-            _agreeing(px, py, x == y) if rx == ry else differing[rx][ry]
-            for y, py, ry in zip(configs, profiles, rows)
+            _agreeing(px, py, x == y) if cx == cy else differing[cx][cy]
+            for y, py, cy in zip(configs, profiles, classes)
         ]
-        for x, px, rx in zip(configs, profiles, rows)
+        for x, px, cx in zip(configs, profiles, classes)
     ]

@@ -6,7 +6,8 @@ cycle ranks by growing a spanning forest, semidefiniteness by signs of all
 principal minors, the intersection matrix cell by cell from the point
 records instead of from sparse rows, reference affine diagrams built
 directly as networkx multigraphs, and isomorphism of configurations by
-networkx graph matching.
+networkx graph matching, and the `matrix` table from one `compare` per
+cell, each cell rendered on its own.
 The dual graph and Roberts' branch-incidence graph of a configuration are
 networkx multigraphs too; the library reads what it needs of them off the
 records in closed form.
@@ -15,13 +16,22 @@ records in closed form.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 
-from kodaira import Component, CurveConfiguration, IntrinsicType, LocalType, SingularPoint
+from kodaira import (
+    Component,
+    CurveConfiguration,
+    IntrinsicType,
+    LocalType,
+    SingularPoint,
+    build,
+    compare,
+)
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -283,3 +293,27 @@ def relabeled(config: CurveConfiguration, rng: random.Random) -> CurveConfigurat
         points.append(SingularPoint(fresh[len(comp_names) + j], p.local_type, tuple(incident)))
     rng.shuffle(points)
     return CurveConfiguration(tuple(components), tuple(points))
+
+
+MATRIX_CHARS = {"Isomorphic": "=", "NotEquivalent": "x", "PossiblyEquivalent": "?"}
+
+
+def compare_kinds(types) -> list[list[str]]:
+    """The verdict kind of every ordered pair of types, one `compare` per cell."""
+    return [[compare(build(a), build(b)).kind.value for b in types] for a in types]
+
+
+def matrix_output(types, kinds: list[list[str]], fmt: str) -> str:
+    """What `kodaira matrix --format fmt` prints for the types and a grid of
+    verdict kind names, every cell rendered on its own."""
+    names = [str(t) for t in types]
+    if fmt == "json":
+        return json.dumps({"types": names, "cells": kinds}, indent=2, sort_keys=True) + "\n"
+    width = max(len(name) for name in names)
+    lines = [
+        "legend: = isomorphic, x not equivalent, ? possibly equivalent",
+        " " * width + "".join(" " + name.rjust(width) for name in names),
+    ]
+    for name, row in zip(names, kinds):
+        lines.append(name.ljust(width) + "".join(" " + MATRIX_CHARS[k].rjust(width) for k in row))
+    return "\n".join(lines) + "\n"

@@ -17,17 +17,22 @@ from kodaira import (
     CurveConfiguration,
     KodairaType,
     LocalType,
+    PartnerVerdict,
     SingularPoint,
+    Witness,
     build,
     catalog_types,
     cli,
+    curves,
     invariant_profile,
     invariants,
+    parse_document,
+    partner_matrix,
     serialize_document,
 )
 from kodaira.cli import _DSG_TEXT, _dumps, main
 from kodaira.curves import _sparse_rows
-from oracles import dense_matrix
+from oracles import compare_kinds, dense_matrix, matrix_output
 from readme_examples import REPO, readme_console_examples
 
 
@@ -256,14 +261,42 @@ class TestJsonOutput:
         }
         assert payload["intersection_matrix"] == [[0]]
 
-    def test_matrix_json_cells_match_types(self, capsys):
-        code, out, _ = run_cli(capsys, "matrix", "--max-n", "0", "--max-m", "2", "--format", "json")
-        payload = json.loads(out)
-        n = len(payload["types"])
-        assert len(payload["cells"]) == n
-        assert all(len(row) == n for row in payload["cells"])
-        for i in range(n):
-            assert payload["cells"][i][i] in ("Isomorphic", "PossiblyEquivalent")
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(9) for m in range(1, 5)])
+def test_matrix_matches_one_compare_per_cell(capsys, n, m):
+    types = catalog_types(n, m)
+    kinds = compare_kinds(types)
+    for fmt in ("table", "json"):
+        argv = ("matrix", "--max-n", str(n), "--max-m", str(m), "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, matrix_output(types, kinds, fmt), "")
+
+
+def test_large_matrix_prints_the_partner_matrix_kinds(capsys):
+    types = catalog_types(40, 6)
+    kinds = [[verdict.kind.value for verdict in row] for row in partner_matrix(types)]
+    for fmt in ("table", "json"):
+        argv = ("matrix", "--max-n", "40", "--max-m", "6", "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, matrix_output(types, kinds, fmt), "")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
+    """`matrix` prints verdict kinds only, read off the profile classes:
+    no witness, and one `_agreeing` verdict per type instead of a T² grid."""
+    made = {Witness: 0, PartnerVerdict: 0}
+    for cls in made:
+
+        def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+            made[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    build.cache_clear()
+    invariant_profile.cache_clear()
+    code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6", "--format", fmt)
+    assert code == 0 and "IIStar" in out
+    assert made[Witness] == 0
+    assert made[PartnerVerdict] <= len(catalog_types(40, 6))
 
 
 _SMALL_INTS = st.integers(min_value=-3, max_value=3)
@@ -496,6 +529,37 @@ def test_module_entry_point_exits_one_on_a_usage_error():
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("usage: kodaira ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (REPO / "docs" / "examples" / "istar0.curve").read_text(),
+        (REPO / "docs" / "examples" / "chain.curve").read_text(),
+        "[components]\na 2 0 -2\nb 2 0 -2\n[points]\np tacnode a b\n",
+    ],
+    ids=["recognized", "not-fiber-like", "fiber-like-uncatalogued"],
+)
+def test_one_fiber_product_per_configuration(capsys, monkeypatch, tmp_path, text):
+    """`classify` and a cold `invariant_profile` each make one M·m product,
+    whether or not the configuration is recognized."""
+    product = curves._product
+    calls = []
+
+    def counted(config, vector):
+        calls.append(config)
+        return product(config, vector)
+
+    monkeypatch.setattr(curves, "_product", counted)
+    path = tmp_path / "doc.curve"
+    path.write_text(text)
+    main(["classify", str(path)])
+    assert len(calls) == 1
+    calls.clear()
+    invariant_profile.cache_clear()
+    with contextlib.suppress(ValueError):  # the chain is not fiber-like
+        invariant_profile(parse_document(text))
+    assert len(calls) == 1
 
 
 def test_classify_time_grows_linearly_with_the_document(capsys, tmp_path):

@@ -107,6 +107,32 @@ class TestParseErrors:
             parse_document("[components]\na 1 1 0\nb 1 1 0\n")
 
 
+# what `str.splitlines` also takes for a line boundary
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=repr)
+    def test_only_newlines_end_a_line(self, sep):
+        """A separator inside a comment stays in the comment, so the bad
+        record on line 4 is blamed on line 4, and inside a record it
+        separates tokens."""
+        text = f"[components]\nc1 1 0 -2  # note{sep}c2 1 0 -2\n[points]\np transverse c1 zz\n"
+        with pytest.raises(DocumentError, match="^line 4: .*unknown component 'zz'"):
+            parse_document(text)
+        assert parse_document(f"[components]\na 1 1 0  # a{sep}b 1 1 0\n").n_components == 1
+        with pytest.raises(DocumentError, match="^line 2: unexpected token 'c2'"):
+            parse_document(f"[components]\nc1 1 0 -2{sep}c2 1 0 -2\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=repr)
+    def test_crlf_and_cr_end_a_line(self, end):
+        lines = ["[components]", "c1 1 0 -2", "c2 1 0 -2", "[points]", "p tacnode c1 c2"]
+        config = parse_document(end.join(lines) + end)
+        assert classify(config) == KodairaType("III")
+        with pytest.raises(DocumentError, match="^line 6: .*unknown component 'zz'"):
+            parse_document(end.join(lines + ["q transverse c1 zz"]))
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("kind", catalog_types(6, 3))
     def test_serialize_then_parse_is_identity(self, kind):

@@ -214,20 +214,24 @@ class TestPartnerMatrix:
 
 def test_verdicts_read_the_type_off_the_cached_profiles(monkeypatch):
     """The recognized type rides on the profile, so once the profiles are
-    cached neither `partner_matrix` nor `compare` classifies again."""
-    classify = catalog.classify
+    cached neither `partner_matrix` nor `compare` runs the recognizer again."""
+    recognize = catalog._fiber_type
     calls = []
 
     def counted(config):
         calls.append(config)
-        return classify(config)
+        return recognize(config)
 
     for module in (kodaira, catalog, invariants, partner):
-        if vars(module).get("classify") is classify:
-            monkeypatch.setattr(module, "classify", counted)
+        if vars(module).get("_fiber_type") is recognize:
+            monkeypatch.setattr(module, "_fiber_type", counted)
     types = catalog_types(6, 3)
+    invariant_profile.cache_clear()
     for kind in types:
         invariant_profile(build(kind))
+    # each cold profile recognized its type through the counted function
+    assert len(calls) == len(types)
+    calls.clear()
     table = partner_matrix(types)
     assert calls == []
     assert all(table[i][i].kind is not VerdictKind.NOT_EQUIVALENT for i in range(len(types)))
