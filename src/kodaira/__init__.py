@@ -28,7 +28,7 @@ from .invariants import (
     invariant_profile,
     loop_rank,
 )
-from .partner import PartnerVerdict, VerdictKind, Witness, compare, partner_matrix
+from .partner import PartnerVerdict, VerdictKind, Witness, compare
 
 __all__ = [
     "Component",
@@ -57,7 +57,6 @@ __all__ = [
     "loop_rank",
     "parse_document",
     "parse_type",
-    "partner_matrix",
     "serialize_document",
     "subclass_of",
 ]

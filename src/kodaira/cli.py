@@ -2,8 +2,8 @@
 
 Subcommands: list, show, classify, compare, matrix. Reports go to stdout,
 diagnostics to stderr. Exit status is 0 on success, 1 for usage and parse
-errors, 2 for validation failures and unrecognized curves. `--format json`
-emits machine-readable output with stable field names.
+errors and when memory runs out, 2 for validation failures and unrecognized
+curves. `--format json` emits machine-readable output with stable field names.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type
 from .curves import _sparse_rows, fiber_obstruction
@@ -65,30 +65,6 @@ _CATALOG_LISTING = [
 ]
 
 
-def _dumps(value: Any, pad: str = "") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, each line after the first prefixed by `pad`.
-
-    Before Python 3.13 the stdlib encodes with `indent` in pure Python, one
-    call per list element; here a list (or tuple) of ints and strings
-    encodes each distinct entry once.
-    """
-    inner = pad + "  "
-    sep = ",\n" + inner
-    # each container is one f-string around one join: `a + b` would copy the text again
-    if value and type(value) is dict and all(type(k) is str for k in value):
-        items = [f"{json.dumps(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if value and type(value) in (list, tuple):
-        types = set(map(type, value))
-        if types <= {int, str}:
-            text = {v: json.dumps(v) for v in set(value)}
-            return f"[\n{inner}{sep.join(map(text.__getitem__, value))}\n{pad}]"
-        if types <= {list, tuple, dict}:
-            return f"[\n{inner}{sep.join([_dumps(v, inner) for v in value])}\n{pad}]"
-    # JSON strings hold no raw newline, so this re-indents exactly
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     if args.format == "json":
         families = [
@@ -96,7 +72,7 @@ def cmd_list(args: argparse.Namespace) -> int:
             for group, entries in _CATALOG_LISTING
             for name, text in entries
         ]
-        print(_dumps({"families": families}))
+        print(json.dumps({"families": families}, indent=2, sort_keys=True))
         return 0
     print("Kodaira curve catalog")
     for group, entries in _CATALOG_LISTING:
@@ -118,6 +94,25 @@ def _row_texts(rows: list[dict[int, int]], sep: str, cell: Callable[[int], str])
             end = j * step + len(zero)
         parts.append(blank[end:])
         yield "".join(parts)
+
+
+# the separator of two items of a list nested in a list at the top level of
+# a JSON document, as `json.dumps(..., indent=2)` writes it
+_JSON_ITEMS = ",\n      "
+
+
+def _print_json_rows(payload: dict[str, Any], key: str, rows: Iterable[str]) -> None:
+    """Print `json.dumps(payload | {key: lists}, indent=2, sort_keys=True)`,
+    where `lists` is a non-empty list of non-empty lists given a row at a
+    time: `rows` yields each inner list's encoded items joined by `_JSON_ITEMS`."""
+    # the document around a placeholder, split where the rows go
+    head, tail = json.dumps(payload | {key: 0}, indent=2, sort_keys=True).split(f'"{key}": 0')
+    print(f'{head}"{key}": [', end="")
+    start = "\n    [\n      "
+    for text in rows:
+        print(start + text, end="")
+        start = "\n    ],\n    [\n      "
+    print("\n    ]\n  ]" + tail)
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -155,14 +150,8 @@ def cmd_show(args: argparse.Namespace) -> int:
         ("D_sg", _DSG_TEXT[status], "dsg_status", status.value),
     ]
     if args.format == "json":
-        # the document around a placeholder matrix, split where the rows go
-        payload = {key: value for _, _, key, value in rows if key} | {"intersection_matrix": 0}
-        head, tail = _dumps(payload).split('"intersection_matrix": 0')
-        texts = _row_texts(matrix, ",\n      ", str)
-        print(head + '"intersection_matrix": [\n    [\n      ' + next(texts), end="")
-        for text in texts:
-            print("\n    ],\n    [\n      " + text, end="")
-        print("\n    ]\n  ]" + tail)
+        payload = {key: value for _, _, key, value in rows if key}
+        _print_json_rows(payload, "intersection_matrix", _row_texts(matrix, _JSON_ITEMS, str))
         return 0
     for label, text, _, _ in rows:
         print(f"{label}: {text}")
@@ -182,7 +171,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     kind = _fiber_type(config) if obstruction is None else None
     if kind is not None:
         if args.format == "json":
-            print(_dumps({"recognized": True, "type": str(kind)}))
+            print(json.dumps({"recognized": True, "type": str(kind)}, indent=2, sort_keys=True))
         else:
             print(str(kind))
         return 0
@@ -195,7 +184,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
         if obstruction is None:
             payload["dualising_sheaf"] = "assumed trivial by fiber convention"
-        print(_dumps(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"not a Kodaira curve: {reason}")
     return 2
@@ -219,7 +208,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     kind_b = parse_type(args.right)
     verdict = compare(build(kind_a), build(kind_b))
     if args.format == "json":
-        print(_dumps(_verdict_payload(str(kind_a), str(kind_b), verdict)))
+        payload = _verdict_payload(str(kind_a), str(kind_b), verdict)
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"left: {kind_a}")
     print(f"right: {kind_b}")
@@ -232,7 +222,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    """The kind of every `partner_matrix` cell, read off the profile classes.
+    """The verdict kind of every ordered pair of types, read off the profile classes.
 
     A cell across two classes is NotEquivalent; inside a class it is the
     kind `_agreeing` gives the class. Each type meets `_agreeing` once,
@@ -241,28 +231,28 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     and each class's row text is built once.
     """
     types = catalog_types(args.max_n, args.max_m)
-    _, profiles, _, classes = _classes(types)
+    profiles, classes = _classes(types)
     first: dict[int, InvariantProfile] = {}
     inside: dict[int, VerdictKind] = {}
     for profile, k in zip(profiles, classes):
         # the note tells identical configurations apart; the table prints no note
         inside[k] = _agreeing(first.setdefault(k, profile), profile, False).kind
     names = [str(t) for t in types]
-    outside = VerdictKind.NOT_EQUIVALENT
-    if args.format == "json":
-        cells = {
-            k: [(kind if c == k else outside).value for c in classes] for k, kind in inside.items()
-        }
-        print(_dumps({"types": names, "cells": [cells[k] for k in classes]}))
-        return 0
-    print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     width = max(len(name) for name in names)
-    print(" " * width + "".join(f" {name:>{width}}" for name in names))
-    cell = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}
+    if args.format == "json":
+        cell, sep = {kind: json.dumps(kind.value) for kind in VerdictKind}, _JSON_ITEMS
+    else:
+        cell, sep = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}, ""
+    outside = cell[VerdictKind.NOT_EQUIVALENT]
     lines = {
-        k: "".join([cell[kind] if c == k else cell[outside] for c in classes])
+        k: sep.join([cell[kind] if c == k else outside for c in classes])
         for k, kind in inside.items()
     }
+    if args.format == "json":
+        _print_json_rows({"types": names}, "cells", map(lines.__getitem__, classes))
+        return 0
+    print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
+    print(" " * width + "".join(f" {name:>{width}}" for name in names))
     for name, k in zip(names, classes):
         print(f"{name:<{width}}" + lines[k])
     return 0
@@ -349,6 +339,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # the traceback holds the records until the handler ends, so report below
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -8,13 +8,10 @@ coincide and the curves are isomorphic (a reduced fiber has no partner
 but itself). For non-reduced or multiple fibers no converse is known, so
 agreement only yields "possibly equivalent".
 
-`compare` and `partner_matrix` share one ordered table of checks and one
-witness builder. The matrix computes one profile per type and numbers its
-distinct rows of check values, the classes of `_classes`. Each check fills
-one table over pairs of its own distinct values, so a witness is built once
-per check and pair of values, and the cell of two distinct rows joins their
-entries in check order. The verdict kinds alone follow from the classes, so
-the CLI's `matrix` reads them there and builds no witness.
+`compare` reads one ordered table of checks off the two profiles. For the
+CLI's `matrix`, `_classes` groups types by their row of check values: two
+types of different classes are NotEquivalent, so the verdict kinds follow
+from the classes without building a witness.
 """
 
 from __future__ import annotations
@@ -80,34 +77,6 @@ def _row(profile: InvariantProfile) -> tuple:
     return tuple(get(profile) for _, get in _CHECKS)
 
 
-def _not_equivalent(rows: Sequence[tuple]) -> list[list[PartnerVerdict]]:
-    """NotEquivalent for every ordered pair of rows, with every witness the pair gives.
-
-    Each check numbers its distinct values and fills one table over pairs of
-    values: a cell is empty when the two values agree or either is None, and
-    otherwise holds the one witness. The verdict for two rows joins their
-    cells in check order, so equal rows give no witness.
-    """
-    by_check = []
-    for (name, _), values in zip(_CHECKS, zip(*rows)):
-        numbers = {v: i for i, v in enumerate(dict.fromkeys(values))}
-        table = [
-            [
-                () if a == b or a is None or b is None else (Witness(name, str(a), str(b)),)
-                for b in numbers
-            ]
-            for a in numbers
-        ]
-        index = [numbers[v] for v in values]
-        # per value, its cells against every row in row order
-        against_rows = [[cells[j] for j in index] for cells in table]
-        by_check.append([against_rows[i] for i in index])
-    return [
-        [PartnerVerdict(VerdictKind.NOT_EQUIVALENT, sum(cells, ())) for cells in zip(*row)]
-        for row in zip(*by_check)
-    ]
-
-
 def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> PartnerVerdict:
     """Verdict for two fibers on which every check agrees, subclass included."""
     if px.subclass is Subclass.L1:
@@ -122,41 +91,25 @@ def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> Pa
 def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     """Compare every invariant, in a fixed order, and issue a verdict."""
     px, py = invariant_profile(x), invariant_profile(y)
-    verdict = _not_equivalent([_row(px), _row(py)])[0][1]
-    return verdict if verdict.witnesses else _agreeing(px, py, x == y)
+    witnesses = tuple(
+        Witness(name, str(a), str(b))
+        for (name, _), a, b in zip(_CHECKS, _row(px), _row(py))
+        if a != b and a is not None and b is not None
+    )
+    if witnesses:
+        return PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses)
+    return _agreeing(px, py, x == y)
 
 
-def _classes(
-    types: Sequence[KodairaType],
-) -> tuple[list[CurveConfiguration], list[InvariantProfile], list[tuple], list[int]]:
-    """Each type's configuration and profile, the distinct rows of check
-    values in order of first appearance, and each type's class: the number
-    of its row.
+def _classes(types: Sequence[KodairaType]) -> tuple[list[InvariantProfile], list[int]]:
+    """Each type's profile, and its class: the number of its row of check
+    values, in order of first appearance.
 
     Types of two different classes differ in a check both sides define (no
     singular point count means differing "isolated singularities"), so
     their verdict is NotEquivalent. Types of one class agree on every
     check, the subclass included, so `_agreeing` gives them one kind.
     """
-    configs = [build(t) for t in types]
-    profiles = [invariant_profile(c) for c in configs]
+    profiles = [invariant_profile(build(t)) for t in types]
     numbers: dict[tuple, int] = {}
-    classes = [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
-    return configs, profiles, list(numbers), classes
-
-
-def partner_matrix(types: Sequence[KodairaType]) -> list[list[PartnerVerdict]]:
-    """Verdict for every ordered pair of catalog types.
-
-    A cell across two classes is read from `differing` by the two class
-    numbers; a cell inside a class is `_agreeing`'s verdict.
-    """
-    configs, profiles, rows, classes = _classes(types)
-    differing = _not_equivalent(rows)
-    return [
-        [
-            _agreeing(px, py, x == y) if cx == cy else differing[cx][cy]
-            for y, py, cy in zip(configs, profiles, classes)
-        ]
-        for x, px, cx in zip(configs, profiles, classes)
-    ]
+    return profiles, [numbers.setdefault(_row(p), len(numbers)) for p in profiles]

@@ -27,10 +27,9 @@ from kodaira import (
     invariant_profile,
     invariants,
     parse_document,
-    partner_matrix,
     serialize_document,
 )
-from kodaira.cli import _DSG_TEXT, _dumps, main
+from kodaira.cli import _DSG_TEXT, main
 from kodaira.curves import _sparse_rows
 from oracles import compare_kinds, dense_matrix, matrix_output
 from readme_examples import REPO, readme_console_examples
@@ -273,7 +272,7 @@ def test_matrix_matches_one_compare_per_cell(capsys, n, m):
 
 def test_large_matrix_prints_the_partner_matrix_kinds(capsys):
     types = catalog_types(40, 6)
-    kinds = [[verdict.kind.value for verdict in row] for row in partner_matrix(types)]
+    kinds = compare_kinds(types)
     for fmt in ("table", "json"):
         argv = ("matrix", "--max-n", "40", "--max-m", "6", "--format", fmt)
         assert run_cli(capsys, *argv) == (0, matrix_output(types, kinds, fmt), "")
@@ -297,30 +296,6 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
     assert code == 0 and "IIStar" in out
     assert made[Witness] == 0
     assert made[PartnerVerdict] <= len(catalog_types(40, 6))
-
-
-_SMALL_INTS = st.integers(min_value=-3, max_value=3)
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text()
-    | st.lists(_SMALL_INTS)
-    | st.lists(_SMALL_INTS | st.booleans())
-    | st.lists(_SMALL_INTS | st.text(max_size=2))
-    | st.lists(_SMALL_INTS).map(tuple),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=4), children, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_dumps_is_the_stdlib_encoder(value):
-    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 _ORACLE_TYPES = catalog_types(8, 3) + [
@@ -454,6 +429,23 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
     assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def test_matrix_json_holds_row_text_like_the_table():
+    """Both formats build one row text per profile class and write the
+    O(T²) cells a row at a time, so with the caches warm the JSON run's
+    traced peak stays within a small multiple of the table run's."""
+    peaks = {}
+    for fmt in ("table", "json"):
+        argv = ["matrix", "--max-n", "40", "--max-m", "6", "--format", fmt]
+        digest_of(argv)  # fills the build and profile caches
+        tracemalloc.start()
+        try:
+            digest_of(argv)
+            _, peaks[fmt] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] < 3 * peaks["table"], peaks
+
+
 @pytest.mark.parametrize(
     "kind",
     [KodairaType("I", n) for n in (0, 1, 5)]
@@ -520,6 +512,29 @@ def test_a_closed_stdout_exits_one_without_a_message():
         _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_running_out_of_memory_exits_one_with_an_error_line():
+    """I(2000000) needs about 1.5 GB of records; under a 512 MiB
+    address-space cap, set in the child alone, `main` reports the
+    MemoryError in one line instead of a traceback."""
+    import resource
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 512 * 2**20 if hard == resource.RLIM_INFINITY else min(512 * 2**20, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "kodaira", "compare", "I(2000000)", "II"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_module_entry_point_exits_one_on_a_usage_error():

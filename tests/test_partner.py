@@ -20,9 +20,9 @@ from kodaira import (
     invariant_profile,
     invariants,
     partner,
-    partner_matrix,
     subclass_of,
 )
+from kodaira.cli import main
 
 L1_SAMPLE = [KodairaType("I", n) for n in range(7)] + [
     KodairaType("II"),
@@ -46,6 +46,26 @@ CHECK_VALUES = {
 
 def witness_names(verdict):
     return [w.invariant for w in verdict.witnesses]
+
+
+def verdict_grid(types):
+    """The partner matrix: the `compare` verdict of every ordered pair of types."""
+    return [[compare(build(a), build(b)) for b in types] for a in types]
+
+
+def assert_check_values_rule(verdict, a, b):
+    """The witnesses are the checks whose profile values differ, both
+    defined, left value first; with none the verdict is not NotEquivalent."""
+    pa, pb = invariant_profile(build(a)), invariant_profile(build(b))
+    witnesses = tuple(
+        Witness(name, str(value(pa)), str(value(pb)))
+        for name, value in CHECK_VALUES.items()
+        if value(pa) != value(pb) and None not in (value(pa), value(pb))
+    )
+    if witnesses:
+        assert verdict == PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses), (a, b)
+    else:
+        assert verdict.kind is not VerdictKind.NOT_EQUIVALENT, (a, b)
 
 
 class TestCompare:
@@ -168,7 +188,7 @@ class TestPartnerMatrix:
             KodairaType("III"),
             KodairaType("IV"),
         ]
-        table = partner_matrix(types)
+        table = verdict_grid(types)
         for i, row in enumerate(table):
             for j, verdict in enumerate(row):
                 expected = VerdictKind.ISOMORPHIC if i == j else VerdictKind.NOT_EQUIVALENT
@@ -176,7 +196,7 @@ class TestPartnerMatrix:
 
     def test_matrix_is_square_and_symmetric_in_kind(self):
         types = catalog_types(2, 2)
-        table = partner_matrix(types)
+        table = verdict_grid(types)
         assert len(table) == len(types)
         for row in table:
             assert len(row) == len(types)
@@ -186,19 +206,25 @@ class TestPartnerMatrix:
 
     def test_l1_subclass_constant_on_matching_cells(self):
         types = [KodairaType("IStar", 0), KodairaType("mI", n=5, m=2)]
-        table = partner_matrix(types)
+        table = verdict_grid(types)
         assert table[0][1].kind is VerdictKind.NOT_EQUIVALENT
         assert table[0][0].kind is VerdictKind.POSSIBLY_EQUIVALENT
 
     def test_every_cell_equals_compare(self):
+        """Every cell follows the `CHECK_VALUES` witness rule, and a
+        PossiblyEquivalent cell says "identical" exactly when the two
+        configurations are, off the diagonal as well."""
         i0, istar4, iistar = KodairaType("I", 0), KodairaType("IStar", 4), KodairaType("IIStar")
         mi25, mi35 = KodairaType("mI", n=5, m=2), KodairaType("mI", n=5, m=3)
         # the repeats put identical configurations off the diagonal as well
         types = catalog_types(6, 4) + [i0, istar4, iistar, mi25, mi35]
-        table = partner_matrix(types)
+        table = verdict_grid(types)
         for row, a in zip(table, types):
             for verdict, b in zip(row, types):
-                assert verdict == compare(build(a), build(b)), (a, b)
+                assert_check_values_rule(verdict, a, b)
+                if verdict.kind is VerdictKind.POSSIBLY_EQUIVALENT:
+                    identical = verdict.note == "the two configurations are identical"
+                    assert identical == (build(a) == build(b)), (a, b)
 
         def cell(a, b):
             return table[types.index(a)][types.index(b)]
@@ -211,10 +237,9 @@ class TestPartnerMatrix:
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
 
 
-
-def test_verdicts_read_the_type_off_the_cached_profiles(monkeypatch):
+def test_verdicts_read_the_type_off_the_cached_profiles(capsys, monkeypatch):
     """The recognized type rides on the profile, so once the profiles are
-    cached neither `partner_matrix` nor `compare` runs the recognizer again."""
+    cached neither `compare` nor `kodaira matrix` runs the recognizer again."""
     recognize = catalog._fiber_type
     calls = []
 
@@ -232,11 +257,13 @@ def test_verdicts_read_the_type_off_the_cached_profiles(monkeypatch):
     # each cold profile recognized its type through the counted function
     assert len(calls) == len(types)
     calls.clear()
-    table = partner_matrix(types)
+    table = verdict_grid(types)
     assert calls == []
     assert all(table[i][i].kind is not VerdictKind.NOT_EQUIVALENT for i in range(len(types)))
     for kind in (KodairaType("I", 0), KodairaType("I", 3), KodairaType("IV")):
         assert compare(build(kind), build(kind)).kind is VerdictKind.ISOMORPHIC
+    assert main(["matrix", "--max-n", "6", "--max-m", "3"]) == 0
+    assert "IIStar" in capsys.readouterr().out
     assert calls == []
 
 
@@ -247,22 +274,12 @@ _II, _III, _IV = KodairaType("II"), KodairaType("III"), KodairaType("IV")
 @given(st.lists(st.sampled_from(catalog_types(12, 5)), min_size=1, max_size=12))
 @example([_II, _III, _IV, KodairaType("mI", 1, 2), KodairaType("mI", 1, 5), _III, _II])
 def test_matrix_cells_are_compare_verdicts_with_the_profiles_witnesses(types):
-    """Every cell is the whole `compare` verdict, and its witnesses are the
-    checks whose profile values differ, both defined, left value first."""
-    table = partner_matrix(types)
-    assert len(table) == len(types)
-    for row, a in zip(table, types):
-        assert len(row) == len(types)
-        pa = invariant_profile(build(a))
-        for verdict, b in zip(row, types):
-            assert verdict == compare(build(a), build(b)), (a, b)
-            pb = invariant_profile(build(b))
-            witnesses = tuple(
-                Witness(name, str(value(pa)), str(value(pb)))
-                for name, value in CHECK_VALUES.items()
-                if value(pa) != value(pb) and None not in (value(pa), value(pb))
-            )
-            if witnesses:
-                assert verdict == PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses), (a, b)
-            else:
-                assert verdict.kind is not VerdictKind.NOT_EQUIVALENT, (a, b)
+    """Every `compare` verdict over ordered pairs follows the `CHECK_VALUES`
+    witness rule, and it is NotEquivalent exactly across the profile classes
+    that `kodaira matrix` reads its kinds from."""
+    _, classes = partner._classes(types)
+    for a, ca in zip(types, classes):
+        for b, cb in zip(types, classes):
+            verdict = compare(build(a), build(b))
+            assert_check_values_rule(verdict, a, b)
+            assert (verdict.kind is VerdictKind.NOT_EQUIVALENT) == (ca != cb), (a, b)
