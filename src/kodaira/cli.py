@@ -13,13 +13,13 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type
 from .curves import _sparse_rows, fiber_obstruction
-from .document import _INTEGER, DocumentError, parse_document
+from .document import DocumentError, _parse_int, parse_document
 from .invariants import DsgStatus, InvariantProfile, invariant_profile
-from .partner import PartnerVerdict, VerdictKind, _agreeing, _classes, compare
+from .partner import VerdictKind, _agreeing, _classes, compare
 
 _DSG_TEXT = {
     DsgStatus.TRIVIAL: "trivial (smooth curve)",
@@ -82,7 +82,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row_texts(rows: list[dict[int, int]], sep: str, cell: Callable[[int], str]) -> Iterator[str]:
+def _row_texts(rows: list[dict[int, Any]], sep: str, cell: Callable[[Any], str]) -> Iterator[str]:
     """`sep.join(map(cell, row))` per dense row, sliced from the all-zero row's text."""
     zero = cell(0)
     blank = sep.join([zero] * len(rows))
@@ -96,20 +96,20 @@ def _row_texts(rows: list[dict[int, int]], sep: str, cell: Callable[[int], str])
         yield "".join(parts)
 
 
-# the separator of two items of a list nested in a list at the top level of
-# a JSON document, as `json.dumps(..., indent=2)` writes it
-_JSON_ITEMS = ",\n      "
-
-
-def _print_json_rows(payload: dict[str, Any], key: str, rows: Iterable[str]) -> None:
+def _print_json_rows(
+    payload: dict[str, Any], key: str, rows: list[dict[int, Any]], cell: Callable[[Any], str]
+) -> None:
     """Print `json.dumps(payload | {key: lists}, indent=2, sort_keys=True)`,
-    where `lists` is a non-empty list of non-empty lists given a row at a
-    time: `rows` yields each inner list's encoded items joined by `_JSON_ITEMS`."""
+    where `lists` is the non-empty square matrix of the sparse `rows`, each
+    entry encoded by `cell`, written a row at a time by `_row_texts`."""
+    # the separator of two items of a list nested in a list at the top level
+    # of a JSON document, as `json.dumps(..., indent=2)` writes it
+    items = ",\n      "
     # the document around a placeholder, split where the rows go
     head, tail = json.dumps(payload | {key: 0}, indent=2, sort_keys=True).split(f'"{key}": 0')
     print(f'{head}"{key}": [', end="")
     start = "\n    [\n      "
-    for text in rows:
+    for text in _row_texts(rows, items, cell):
         print(start + text, end="")
         start = "\n    ],\n    [\n      "
     print("\n    ]\n  ]" + tail)
@@ -151,7 +151,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {key: value for _, _, key, value in rows if key}
-        _print_json_rows(payload, "intersection_matrix", _row_texts(matrix, _JSON_ITEMS, str))
+        _print_json_rows(payload, "intersection_matrix", matrix, str)
         return 0
     for label, text, _, _ in rows:
         print(f"{label}: {text}")
@@ -190,25 +190,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _verdict_payload(left: str, right: str, verdict: PartnerVerdict) -> dict[str, Any]:
-    return {
-        "left": left,
-        "right": right,
-        "verdict": verdict.kind.value,
-        "witnesses": [
-            {"invariant": w.invariant, "left": w.left, "right": w.right}
-            for w in verdict.witnesses
-        ],
-        "note": verdict.note,
-    }
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     kind_a = parse_type(args.left)
     kind_b = parse_type(args.right)
     verdict = compare(build(kind_a), build(kind_b))
     if args.format == "json":
-        payload = _verdict_payload(str(kind_a), str(kind_b), verdict)
+        payload = {
+            "left": str(kind_a),
+            "right": str(kind_b),
+            "verdict": verdict.kind.value,
+            "witnesses": [asdict(w) for w in verdict.witnesses],
+            "note": verdict.note,
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"left: {kind_a}")
@@ -227,34 +220,32 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     A cell across two classes is NotEquivalent; inside a class it is the
     kind `_agreeing` gives the class. Each type meets `_agreeing` once,
     paired with its class's first member, so its check that agreeing
-    reduced types are one type runs for every type. No witness is built,
-    and each class's row text is built once.
+    reduced types are one type runs for every type. No witness is built:
+    a class's sparse row holds its members' kinds, every row of the class
+    shares it, and `_row_texts` writes the NotEquivalent cells around them.
     """
     types = catalog_types(args.max_n, args.max_m)
     profiles, classes = _classes(types)
     first: dict[int, InvariantProfile] = {}
-    inside: dict[int, VerdictKind] = {}
-    for profile, k in zip(profiles, classes):
+    members: dict[int, dict[int, VerdictKind]] = {}
+    for j, (profile, k) in enumerate(zip(profiles, classes)):
         # the note tells identical configurations apart; the table prints no note
-        inside[k] = _agreeing(first.setdefault(k, profile), profile, False).kind
+        members.setdefault(k, {})[j] = _agreeing(first.setdefault(k, profile), profile, False).kind
+    rows = [members[k] for k in classes]
     names = [str(t) for t in types]
     width = max(len(name) for name in names)
     if args.format == "json":
-        cell, sep = {kind: json.dumps(kind.value) for kind in VerdictKind}, _JSON_ITEMS
+        text = {kind: json.dumps(kind.value) for kind in VerdictKind}
     else:
-        cell, sep = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}, ""
-    outside = cell[VerdictKind.NOT_EQUIVALENT]
-    lines = {
-        k: sep.join([cell[kind] if c == k else outside for c in classes])
-        for k, kind in inside.items()
-    }
+        text = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}
+    text[0] = text[VerdictKind.NOT_EQUIVALENT]  # `_row_texts` writes cell(0) off the rows
     if args.format == "json":
-        _print_json_rows({"types": names}, "cells", map(lines.__getitem__, classes))
+        _print_json_rows({"types": names}, "cells", rows, text.__getitem__)
         return 0
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     print(" " * width + "".join(f" {name:>{width}}" for name in names))
-    for name, k in zip(names, classes):
-        print(f"{name:<{width}}" + lines[k])
+    for name, line in zip(names, _row_texts(rows, "", text.__getitem__)):
+        print(f"{name:<{width}}" + line)
     return 0
 
 
@@ -268,9 +259,7 @@ def _int_at_least(low: int):
     """argparse type: an int no smaller than `low`."""
 
     def parse(text: str) -> int:
-        if not _INTEGER.fullmatch(text):  # int() would also take "+1", "1_0" and non-ASCII digits
-            raise ValueError(text)
-        value = int(text)
+        value = _parse_int(text, "a bound", None)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

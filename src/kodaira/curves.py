@@ -134,22 +134,19 @@ class CurveConfiguration:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.components:
             raise ConfigurationError("configuration needs at least one component")
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
+        index = {c.name: i for i, c in enumerate(self.components)}
+        if len(index) != len(self.components):
             raise ConfigurationError("component names must be unique")
-        point_names = [p.name for p in self.points]
-        if len(set(point_names)) != len(point_names):
+        if len({p.name for p in self.points}) != len(self.points):
             raise ConfigurationError("point names must be unique")
-        known = set(names)
         for p in self.points:
             for ref in p.incident:
-                if ref not in known:
+                if ref not in index:
                     raise ConfigurationError(
                         f"point {p.name!r} references unknown component {ref!r}"
                     )
-        index = {name: i for i, name in enumerate(names)}
         links = ((index[p.incident[0]], index[ref]) for p in self.points for ref in p.incident[1:])
-        if _class_count(len(names), links) != 1:
+        if _class_count(len(index), links) != 1:
             raise ConfigurationError("configuration is not connected")
 
     @property

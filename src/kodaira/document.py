@@ -43,7 +43,7 @@ class DocumentError(ValueError):
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _parse_int(token: str, what: str, line: int) -> int:
+def _parse_int(token: str, what: str, line: int | None) -> int:
     # int() would also take "+1", "0_0" and non-ASCII digits
     if not _INTEGER.fullmatch(token):
         raise DocumentError(f"{what} must be an integer, got {token!r}", line)
@@ -92,16 +92,19 @@ def _parse_point(tokens: list[str], known: dict[str, int], line: int) -> Singula
         raise DocumentError(str(exc), line) from None
 
 
+_SECTIONS = {"[components]": "component", "[points]": "point"}
+
+
 def parse_document(text: str) -> CurveConfiguration:
     """Parse a configuration document.
 
-    Raises DocumentError (with line numbers) for syntax problems, unknown
-    references and per-record invariant violations; whole-configuration
-    problems such as disconnectedness surface as ConfigurationError.
+    Syntax problems, unknown references, duplicate names and per-record
+    invariant violations raise DocumentError with the line number;
+    whole-configuration ones, such as disconnectedness, ConfigurationError.
     """
-    components: list[Component] = []
-    points: list[SingularPoint] = []
-    seen: dict[str, int] = {}
+    records: dict[str, list] = {"component": [], "point": []}
+    # per section, each name and the line that defines it
+    names: dict[str, dict[str, int]] = {"component": {}, "point": {}}
     section: str | None = None
     # only \n, \r\n and \r end a line: `str.splitlines` would also split at
     # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, and miscount the lines
@@ -111,31 +114,27 @@ def parse_document(text: str) -> CurveConfiguration:
         if not line:
             continue
         if line.startswith("["):
-            if line == "[components]":
-                section = "components"
-            elif line == "[points]":
-                section = "points"
-            else:
+            if line not in _SECTIONS:
                 raise DocumentError(f"unknown section {line!r}", lineno)
+            section = _SECTIONS[line]
             continue
-        tokens = line.split()
-        if section == "components":
-            component = _parse_component(tokens, lineno)
-            if component.name in seen:
-                raise DocumentError(
-                    f"duplicate component name {component.name!r} "
-                    f"(first defined on line {seen[component.name]})",
-                    lineno,
-                )
-            seen[component.name] = lineno
-            components.append(component)
-        elif section == "points":
-            points.append(_parse_point(tokens, seen, lineno))
-        else:
+        if section is None:
             raise DocumentError("content before any [components]/[points] section", lineno)
-    if not components:
+        tokens = line.split()
+        if section == "component":
+            record = _parse_component(tokens, lineno)
+        else:
+            record = _parse_point(tokens, names["component"], lineno)
+        first = names[section].setdefault(record.name, lineno)
+        if first != lineno:
+            raise DocumentError(
+                f"duplicate {section} name {record.name!r} (first defined on line {first})",
+                lineno,
+            )
+        records[section].append(record)
+    if not records["component"]:
         raise DocumentError("document defines no components")
-    return CurveConfiguration(tuple(components), tuple(points))
+    return CurveConfiguration(tuple(records["component"]), tuple(records["point"]))
 
 
 def serialize_document(config: CurveConfiguration) -> str:

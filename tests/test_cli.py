@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -188,6 +189,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classify", str(empty))
         assert code == 1
         assert "no components" in err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (
+                "[components]\nb 1 0 -2\n",
+                "line 7: duplicate component name 'b' (first defined on line 3)",
+            ),
+            ("p transverse a b\n", "line 6: duplicate point name 'p' (first defined on line 5)"),
+        ],
+        ids=["component", "point"],
+    )
+    def test_duplicate_names_are_parse_errors(self, capsys, tmp_path, extra, message):
+        doc = tmp_path / "twice.curve"
+        doc.write_text("[components]\na 1 0 -2\nb 1 0 -2\n[points]\np transverse a b\n" + extra)
+        code, out, err = run_cli(capsys, "classify", str(doc))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_disconnected_document_is_a_validation_error(self, capsys, tmp_path):
         doc = tmp_path / "two.curve"
@@ -429,13 +447,15 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
     assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def test_matrix_json_holds_row_text_like_the_table():
-    """Both formats build one row text per profile class and write the
-    O(T²) cells a row at a time, so with the caches warm the JSON run's
-    traced peak stays within a small multiple of the table run's."""
+def test_matrix_writes_its_rows_in_small_memory():
+    """Every row of a profile class shares the class's sparse row, and
+    `_row_texts` slices each printed row out of one all-NotEquivalent row:
+    O(T) text for T types. With the caches warm, both formats of the
+    853-type `matrix --max-n 120 --max-m 6` peak below 1.5 MiB; one row
+    text per class took 3.7 MiB (table) and 7.2 MiB (JSON)."""
     peaks = {}
     for fmt in ("table", "json"):
-        argv = ["matrix", "--max-n", "40", "--max-m", "6", "--format", fmt]
+        argv = ["matrix", "--max-n", "120", "--max-m", "6", "--format", fmt]
         digest_of(argv)  # fills the build and profile caches
         tracemalloc.start()
         try:
@@ -443,7 +463,7 @@ def test_matrix_json_holds_row_text_like_the_table():
             _, peaks[fmt] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks["json"] < 3 * peaks["table"], peaks
+    assert max(peaks.values()) < 1.5 * 2**20, peaks
 
 
 @pytest.mark.parametrize(
@@ -592,3 +612,70 @@ def test_classify_time_grows_linearly_with_the_document(capsys, tmp_path):
         best.append(min(times))
     assert capsys.readouterr().out == "I(2000)\n" * 3 + "I(8000)\n" * 3
     assert best[1] / best[0] < 8, best
+
+
+_SPECS = st.one_of(
+    st.builds("{}({})".format, st.sampled_from(["I", "IStar"]), st.integers(0, 999)),
+    st.builds("mI({},{})".format, st.integers(0, 999), st.integers(0, 999)),
+    st.sampled_from(["II", "III", "IV", "II*", "IIIStar", "IV*", "I₃", "I₀*", "₂I₃"]),
+    st.text(st.sampled_from("ImStar()*,0123456789₀₃ -\t"), max_size=10),
+).filter(lambda spec: not spec.startswith("-") and not re.search("[0-9₀-₉]{4}", spec))
+
+_DOCUMENTS = [serialize_document(build(t)).encode() for t in catalog_types(5, 3)]
+_BYTES = [b"\r", b"\n", b"\xef\xbb\xbf", b"\xff", b" ", b"#", b"[", b"]", b"-", b"0", b"x", b","]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A serialized catalog document with bytes deleted, inserted or duplicated, or none."""
+    data = draw(st.sampled_from(_DOCUMENTS))
+    rng = draw(st.randoms(use_true_random=False))  # spreads the edits over the document
+    for _ in range(draw(st.integers(0, 3))):
+        i = rng.randrange(len(data) + 1)
+        how = rng.choice(["delete", "insert", "duplicate"])
+        if how == "delete":
+            data = data[:i] + data[i + 1 :]
+        elif how == "insert":
+            data = data[:i] + rng.choice(_BYTES) + data[i:]
+        else:
+            data = data[:i] + data[i : i + rng.randint(1, 40)] + data[i:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("classify"), mutated_documents()),
+        st.tuples(st.just("show"), _SPECS),
+        st.tuples(st.just("compare"), _SPECS, _SPECS),
+    ),
+    st.sampled_from(["table", "json"]),
+)
+@example(("classify", _DOCUMENTS[7] + b"p1 transverse c1 c2\n"), "table")
+@example(("classify", b"[components]\na 1 1 0\nb 1 1 0\n"), "table")
+@example(("classify", _DOCUMENTS[7].replace(b"-2", b"-3")), "json")
+def test_main_answers_every_input_with_its_exit_status(tmp_path_factory, command, fmt):
+    """Status 0, 1 or 2 and no escaping exception, whatever the document or
+    spec. Status 1 prints one `error:` line and no report; status 2 prints
+    either one `validation error:` line or the `classify` report."""
+    argv = list(command)
+    if argv[0] == "classify":
+        argv[1] = tmp_path_factory.getbasetemp() / "fuzz.curve"
+        argv[1].write_bytes(command[1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*map(str, argv), "--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    one_line = err.endswith("\n") and err.count("\n") == 1
+    if code == 1:
+        assert out == "" and one_line and err.startswith("error: "), err
+    elif code == 2 and out:  # the report on a configuration that `classify` rejects
+        assert argv[0] == "classify" and err == ""
+        if fmt == "json":
+            assert json.loads(out)["recognized"] is False
+        else:
+            assert out.startswith("not a Kodaira curve: ") and out.count("\n") == 1
+    elif code == 2:
+        assert one_line and err.startswith("validation error: "), err
+    else:
+        assert code == 0 and err == "", (code, err)

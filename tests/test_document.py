@@ -92,6 +92,15 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="duplicate"):
             parse_document("[components]\na 1 0 -2\na 1 0 -2\n")
 
+    def test_duplicate_point_name_carries_both_lines(self):
+        # a point may share a component's name: each section has its own names
+        head = "[components]\na 1 0 -2\nb 1 0 -2\n[points]\na transverse a b\n"
+        assert len(parse_document(head).points) == 1
+        with pytest.raises(
+            DocumentError, match=r"^line 6: duplicate point name 'a' \(first defined on line 5\)$"
+        ):
+            parse_document(head + "a tacnode a b\n")
+
     def test_arity_violation_carries_line(self):
         with pytest.raises(DocumentError, match="line 5"):
             parse_document(
