@@ -23,6 +23,7 @@ from .curves import (
     IntrinsicType,
     LocalType,
     SingularPoint,
+    _adjunction_failure,
     fiber_obstruction,
 )
 
@@ -220,13 +221,17 @@ def classify(config: CurveConfiguration) -> KodairaType | None:
 def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
     """The catalog type of a configuration that passes the fiber test, or None.
 
-    Past the one-component case, the type is read off the sorted
-    multiplicities and the local type of any one point. For smooth rational
-    (-2)-curves with M * m = 0, Zariski's lemma (Barth-Hulek-Peters-Van de
-    Ven, Compact Complex Surfaces, Lemma III.8.2) and Kac
-    (Infinite-Dimensional Lie Algebras, Theorem 4.3 and Table Aff 1) make -M
-    a symmetric affine Cartan matrix and m a multiple k * delta of its null
-    root. The sorted null roots are pairwise distinct:
+    Every fiber component satisfies adjunction, C^2 = 2 p_a(C) - 2. With one
+    component, M * m = 0 makes C^2 = 0, so p_a = 1, and the genus and the
+    intrinsic singularity give the type. With more, connectedness and
+    M * m = 0 make each m_i C_i^2 = -sum_(j != i) m_j C_i.C_j negative, so
+    adjunction leaves only smooth rational (-2)-curves, and the type is read
+    off the sorted multiplicities and the local type of any one point.
+    Zariski's lemma (Barth-Hulek-Peters-Van de Ven, Compact Complex
+    Surfaces, Lemma III.8.2) and Kac (Infinite-Dimensional Lie Algebras,
+    Theorem 4.3 and Table Aff 1) make -M a symmetric affine Cartan matrix
+    and m a multiple k * delta of its null root. The sorted null roots are
+    pairwise distinct:
 
         A~N       1, ..., 1             I(N), mI(k,N); III, IV if k = 1
         D~(N+4)   1, 1, 1, 1, 2, ...    IStar(N), with N + 1 twos
@@ -237,12 +242,10 @@ def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
     only D~'s null root has four 1s, so a sorted m that starts 1, 1, 1, 1, 2
     is that root.
     """
+    if _adjunction_failure(config) is not None:
+        return None
     if config.n_components == 1:
         return _classify_irreducible(config)
-    if any(c.geometric_genus != 0 or c.intrinsic for c in config.components):
-        return None
-    if any(c.self_intersection != -2 for c in config.components):
-        return None
     mults = sorted(config.multiplicities())
     n, mult = len(mults), mults[0]
     if mult == mults[-1]:

@@ -332,7 +332,3 @@ def main(argv: list[str] | None = None) -> int:
         pass  # the traceback holds the records until the handler ends, so report below
     print("error: out of memory", file=sys.stderr)
     return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

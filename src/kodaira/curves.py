@@ -69,11 +69,6 @@ class IntrinsicType(str, Enum):
     def branches(self) -> int:
         return 2 if self is IntrinsicType.NODE else 1
 
-    @property
-    def delta(self) -> int:
-        # delta invariant: drop in genus under normalization
-        return 1
-
 
 @dataclass(frozen=True)
 class Component:
@@ -231,3 +226,17 @@ def fiber_obstruction(config: CurveConfiguration) -> str | None:
         return "M*m != 0"
     return None
 
+
+def _adjunction_failure(config: CurveConfiguration) -> str | None:
+    """The first component whose square no fiber component can have, or None.
+
+    On a relatively minimal elliptic surface the canonical class pairs to
+    zero with every fiber component, so adjunction gives C^2 = 2 p_a(C) - 2.
+    """
+    for c in config.components:
+        # a node and a cusp each drop the geometric genus below p_a by one
+        needed = 2 * (c.geometric_genus + len(c.intrinsic)) - 2
+        if c.self_intersection != needed:
+            square = c.self_intersection
+            return f"component {c.name!r} has self-intersection {square}, adjunction needs {needed}"
+    return None

@@ -74,7 +74,7 @@ def _parse_component(tokens: list[str], line: int) -> Component:
         raise DocumentError(str(exc), line) from None
 
 
-def _parse_point(tokens: list[str], known: dict[str, int], line: int) -> SingularPoint:
+def _parse_point(tokens: list[str], line: int) -> SingularPoint:
     if len(tokens) < 2:
         raise DocumentError("point record needs: name local_type components...", line)
     name = tokens[0]
@@ -82,12 +82,8 @@ def _parse_point(tokens: list[str], known: dict[str, int], line: int) -> Singula
         local_type = LocalType(tokens[1])
     except ValueError:
         raise DocumentError(f"unknown local type {tokens[1]!r}", line) from None
-    incident = tuple(tokens[2:])
-    for ref in incident:
-        if ref not in known:
-            raise DocumentError(f"point {name!r} references unknown component {ref!r}", line)
     try:
-        return SingularPoint(name, local_type, incident)
+        return SingularPoint(name, local_type, tuple(tokens[2:]))
     except ConfigurationError as exc:
         raise DocumentError(str(exc), line) from None
 
@@ -124,7 +120,7 @@ def parse_document(text: str) -> CurveConfiguration:
         if section == "component":
             record = _parse_component(tokens, lineno)
         else:
-            record = _parse_point(tokens, names["component"], lineno)
+            record = _parse_point(tokens, lineno)
         first = names[section].setdefault(record.name, lineno)
         if first != lineno:
             raise DocumentError(
@@ -134,6 +130,13 @@ def parse_document(text: str) -> CurveConfiguration:
         records[section].append(record)
     if not records["component"]:
         raise DocumentError("document defines no components")
+    # a point may name a component defined anywhere in the document
+    for p in records["point"]:
+        for ref in p.incident:
+            if ref not in names["component"]:
+                raise DocumentError(
+                    f"point {p.name!r} references unknown component {ref!r}", names["point"][p.name]
+                )
     return CurveConfiguration(tuple(records["component"]), tuple(records["point"]))
 
 

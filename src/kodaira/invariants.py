@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .catalog import KodairaType, Subclass, _fiber_type, subclass_of
-from .curves import CurveConfiguration, fiber_obstruction
+from .curves import CurveConfiguration, _adjunction_failure, fiber_obstruction
 
 
 @dataclass(frozen=True)
@@ -118,58 +118,40 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a fiber-like configuration, and its type.
 
     The fiber test runs once, and the recognizer past it reads the type,
-    which is kept as `kind`, so no reader classifies again. Past the test,
-    M * m = 0, so the fiber D = sum m_i C_i has D^2 = m * (M * m) = 0.
+    which is kept as `kind`, so no reader classifies again. A configuration
+    that fails the test, or adjunction (C^2 = 2 p_a(C) - 2 on every
+    component, see `catalog._fiber_type`), raises ValueError naming the
+    failure. Past both, with D = sum m_i C_i:
 
-    - chi(O_X): the surface is a relatively minimal elliptic fibration, so
-      the canonical class pairs to zero with every component and
-      Riemann-Roch gives chi = -D^2/2 = 0 when every component is smooth.
-      An irreducible curve with intrinsic singularities has
-      chi = 1 - (g + sum of deltas) instead; g_a = 1 - chi.
+    - chi(O_X) = -D^2/2 = 0 by Riemann-Roch, since K.D = 0 and
+      D^2 = m * (M * m) = 0; so g_a = 1 - chi = 1.
     - G_0 of coherent sheaves is free of rank N + 1, whatever the
-      multiplicities (devissage), when every component is rational or
+      multiplicities (devissage), since every component is rational or
       the curve is irreducible of genus <= 1.
     - Pic(X): the elliptic rank is the total geometric genus, the torus
       rank is the loop rank, which is also the rank of K^-1 (K^i = 0 for
       i <= -2), and the unipotent dimension is what is left of
-      h^1(O_X) = 1 - chi (a connected fiber has h^0 = 1). The component
-      group is free of rank N.
-
-    Intrinsic singularities on a reducible configuration, a genus-one
-    component in a reducible configuration and a negative unipotent
-    dimension are outside the supported shapes and raise ValueError, in
-    that order.
+      h^1(O_X) = 1. It is never negative: the loop rank is at most 1 (one
+      node, or the cycle of A~N). The component group is free of rank N.
     """
     obstruction = fiber_obstruction(config)
-    if obstruction is not None:
-        raise ValueError(f"not fiber-like: {obstruction}")
-    kind = _fiber_type(config)
+    kind = _fiber_type(config) if obstruction is None else None
+    if kind is None:
+        obstruction = obstruction or _adjunction_failure(config)
+        if obstruction is not None:
+            raise ValueError(f"not fiber-like: {obstruction}")
     n = config.n_components
-    intrinsic = [s for c in config.components for s in c.intrinsic]
-    if intrinsic and n >= 2:
-        raise ValueError(
-            "intrinsic singularities on a reducible configuration are not supported"
-        )
     elliptic = sum(c.geometric_genus for c in config.components)
-    if elliptic and n >= 2:
-        raise ValueError(
-            "unsupported genus combination: genus-one component in a reducible configuration"
-        )
-    chi = (1 - elliptic - sum(s.delta for s in intrinsic)) if intrinsic else 0
     torus = loop_rank(config)
-    unipotent = 1 - chi - torus - elliptic
-    if unipotent < 0:
-        raise ValueError(
-            "negative unipotent dimension; the configuration is not fiber-like"
-        )
     # a non-reduced curve is singular along the whole curve: no isolated points to count
-    count = len(config.points) + len(intrinsic) if config.is_reduced() else None
+    singular = len(config.points) + sum(len(c.intrinsic) for c in config.components)
+    count = singular if config.is_reduced() else None
     return InvariantProfile(
         n_components=n,
-        arithmetic_genus=1 - chi,
+        arithmetic_genus=1,
         g0_rank=n + 1,
         k_minus_one_rank=torus,
-        picard=PicardDescriptor(unipotent, torus, elliptic, n),
+        picard=PicardDescriptor(1 - torus - elliptic, torus, elliptic, n),
         reduced=count is not None,
         smooth=count == 0,
         singular_point_count=count,

@@ -26,6 +26,8 @@ class TestTypeParameters:
             KodairaType("I", -1)
         with pytest.raises(ValueError):
             KodairaType("mI", n=3, m=1)
+        with pytest.raises(ValueError, match="needs a parameter N"):
+            KodairaType("mI", m=2)
         with pytest.raises(ValueError):
             KodairaType("II", 1)
         with pytest.raises(ValueError):

@@ -207,6 +207,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "classify", str(doc))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ("a 0 0 -2", "component 'a': multiplicity must be >= 1, got 0"),
+            ("a 1 2 -2", "component 'a': geometric genus must be 0 or 1, got 2"),
+            (
+                "a 1 1 0 intrinsic=node",
+                "component 'a': a genus-one component cannot carry intrinsic singularities",
+            ),
+        ],
+        ids=["multiplicity-0", "genus-2", "genus-1-with-node"],
+    )
+    def test_component_invariant_violations_are_parse_errors(
+        self, capsys, tmp_path, record, message
+    ):
+        doc = tmp_path / "bad.curve"
+        doc.write_text(f"# one bad record\n[components]\n{record}\n")
+        code, out, err = run_cli(capsys, "classify", str(doc))
+        assert (code, out, err) == (1, "", f"error: line 3: {message}\n")
+
     def test_disconnected_document_is_a_validation_error(self, capsys, tmp_path):
         doc = tmp_path / "two.curve"
         doc.write_text("[components]\na 1 1 0\nb 1 1 0\n")
@@ -225,6 +245,22 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "classify", "docs/examples/nodal.curve")
         assert code == 0
         assert out == "I(1)\n"
+
+
+# what `kodaira classify` prints, and its exit status, for each example document
+_EXAMPLE_RESULTS = {
+    "chain.curve": ("not a Kodaira curve: M*m != 0\n", 2),
+    "istar0.curve": ("IStar(0)\n", 0),
+    "nodal.curve": ("I(1)\n", 0),
+}
+
+
+def test_every_example_document_classifies_as_tabled(capsys):
+    paths = sorted((REPO / "docs" / "examples").glob("*.curve"))
+    assert [path.name for path in paths] == sorted(_EXAMPLE_RESULTS)
+    for path in paths:
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (out, code, err) == (*_EXAMPLE_RESULTS[path.name], ""), path.name
 
 
 class TestJsonOutput:

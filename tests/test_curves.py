@@ -218,6 +218,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CurveConfiguration((Component("a"), Component("a")))
 
+    def test_duplicate_point_names_rejected(self):
+        points = [SingularPoint("p", LocalType.TRANSVERSE, ("a", "b"))] * 2
+        with pytest.raises(ConfigurationError, match="point names must be unique"):
+            CurveConfiguration((Component("a"), Component("b")), points)
+
+    def test_empty_configuration_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one component"):
+            CurveConfiguration(())
+
     def test_unknown_point_reference_rejected(self):
         with pytest.raises(ConfigurationError):
             CurveConfiguration(

@@ -57,6 +57,19 @@ class TestParse:
         )
         assert config.points[0].local_type is LocalType.ORDINARY_TRIPLE
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[points]\np tacnode a b\n[components]\na 1 0 -2\nb 1 0 -2\n",
+            "[components]\na 1 0 -2\n[points]\np tacnode a b\n[components]\nb 1 0 -2\n",
+        ],
+        ids=["points-first", "components-after-points"],
+    )
+    def test_points_may_reference_components_defined_later(self, text):
+        config = parse_document(text)
+        assert [c.name for c in config.components] == ["a", "b"]
+        assert classify(config) == KodairaType("III")
+
 
 class TestParseErrors:
     def test_empty_document(self):
@@ -87,6 +100,15 @@ class TestParseErrors:
     def test_unresolved_reference_carries_line(self):
         with pytest.raises(DocumentError, match="line 5.*unknown component 'z'"):
             parse_document("[components]\na 1 0 -2\nb 1 0 -2\n[points]\np transverse a z\n")
+
+    def test_unknown_reference_is_reported_at_its_point_after_the_whole_document(self):
+        # the reference on line 4 is resolved only at the end of the document,
+        # so the syntax error on line 6 is found first
+        text = "[components]\na 1 0 -2\n[points]\np transverse a z\n[components]\n"
+        with pytest.raises(DocumentError, match="^line 4: point 'p' references unknown component 'z'$"):
+            parse_document(text + "b 1 0 -2\n")
+        with pytest.raises(DocumentError, match="^line 6: multiplicity must be an integer"):
+            parse_document(text + "b x 0 -2\n")
 
     def test_duplicate_component_name(self):
         with pytest.raises(DocumentError, match="duplicate"):

@@ -55,7 +55,7 @@ class TestEulerCharacteristic:
         assert intersection_matrix(config) == ((0,),)
 
     def test_mixed_intrinsic_case_rejected(self):
-        # M * m = 0, so only the intrinsic singularity rules this one out
+        # M * m = 0, but a nodal rational curve has p_a = 1, so adjunction needs square 0
         config = two_components(
             Component("a", 1, 0, -1, (IntrinsicType.NODE,)),
             Component("b", 1, 0, -1),
@@ -65,7 +65,7 @@ class TestEulerCharacteristic:
         with pytest.raises(ValueError) as err:
             invariant_profile(config)
         assert str(err.value) == (
-            "intrinsic singularities on a reducible configuration are not supported"
+            "not fiber-like: component 'a' has self-intersection -1, adjunction needs 0"
         )
 
 
@@ -87,6 +87,39 @@ class TestArithmeticGenus:
         rows = intersection_matrix(config)
         assert sum(marks[i] * rows[i][j] * marks[j] for i in range(7) for j in range(7)) == 0
         assert invariant_profile(config).arithmetic_genus == 1
+
+
+class TestAdjunction:
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (
+                CurveConfiguration((Component("a", 1, 0, 0),)),
+                "component 'a' has self-intersection 0, adjunction needs -2",
+            ),
+            (
+                CurveConfiguration(
+                    (Component("a", 1, 0, 0, (IntrinsicType.NODE, IntrinsicType.CUSP)),)
+                ),
+                "component 'a' has self-intersection 0, adjunction needs 2",
+            ),
+            (
+                two_components(
+                    Component("a", 1, 0, -4), Component("b", 2, 0, -1), [LocalType.TRANSVERSE] * 2
+                ),
+                "component 'a' has self-intersection -4, adjunction needs -2",
+            ),
+        ],
+        ids=["smooth-rational", "node-and-cusp", "squares-minus-4-and-minus-1"],
+    )
+    def test_fiber_test_survivors_that_break_adjunction_are_rejected(self, config, message):
+        """M * m = 0 holds for each, but a fiber component has
+        C^2 = 2 p_a(C) - 2, so none is a fiber and none has a profile."""
+        assert fiber_obstruction(config) is None
+        assert classify(config) is None
+        with pytest.raises(ValueError) as err:
+            invariant_profile(config)
+        assert str(err.value) == "not fiber-like: " + message
 
 
 class TestGrothendieckGroup:
@@ -115,8 +148,9 @@ class TestGrothendieckGroup:
         assert fiber_obstruction(config) is None
         with pytest.raises(ValueError) as err:
             invariant_profile(config)
+        # a genus-one component has p_a = 1, so adjunction needs square 0
         assert str(err.value) == (
-            "unsupported genus combination: genus-one component in a reducible configuration"
+            "not fiber-like: component 'a' has self-intersection -2, adjunction needs 0"
         )
 
 
@@ -185,8 +219,8 @@ class TestPicardDescriptor:
             assert label == "G_m"
 
     def test_negative_unipotent_dimension_is_rejected(self):
-        # three crossings of two (-3)-curves: M * m = 0, but the loop rank
-        # 2 exceeds h^1(O_X) = 1
+        # three crossings of two (-3)-curves: M * m = 0, and the loop rank 2
+        # would exceed h^1(O_X) = 1, but adjunction already rules them out
         config = two_components(
             Component("a", 1, 0, -3), Component("b", 1, 0, -3), [LocalType.TRANSVERSE] * 3
         )
@@ -194,7 +228,7 @@ class TestPicardDescriptor:
         with pytest.raises(ValueError) as err:
             invariant_profile(config)
         assert str(err.value) == (
-            "negative unipotent dimension; the configuration is not fiber-like"
+            "not fiber-like: component 'a' has self-intersection -3, adjunction needs -2"
         )
 
     def test_describe(self):

@@ -275,11 +275,19 @@ def two_components(a, b, local_types):
 
 
 _NOT_FIBER_LIKE = "not fiber-like: M*m != 0"
-_INTRINSIC_ON_REDUCIBLE = "intrinsic singularities on a reducible configuration are not supported"
-_GENUS_ON_REDUCIBLE = (
-    "unsupported genus combination: genus-one component in a reducible configuration"
-)
-_NEGATIVE_UNIPOTENT = "negative unipotent dimension; the configuration is not fiber-like"
+
+
+def adjunction_rejection(config):
+    """The profile's message for the first component off C^2 = 2 p_a - 2,
+    with p_a the geometric genus plus one per node or cusp, or None."""
+    for c in config.components:
+        square = 2 * (c.geometric_genus + len(c.intrinsic)) - 2
+        if c.self_intersection != square:
+            return (
+                f"not fiber-like: component {c.name!r} has self-intersection "
+                f"{c.self_intersection}, adjunction needs {square}"
+            )
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -288,6 +296,7 @@ _NEGATIVE_UNIPOTENT = "negative unipotent dimension; the configuration is not fi
 @example(build(KodairaType("I", 0)))
 @example(build(KodairaType("mI", 0, 2)))
 @example(CurveConfiguration((Component("c", 1, 0, 0, (IntrinsicType.NODE, IntrinsicType.CUSP)),)))
+@example(CurveConfiguration((Component("c", 1, 0, 0),)))
 @example(
     two_components(
         Component("a", 1, 0, -1, (IntrinsicType.NODE,)),
@@ -301,20 +310,23 @@ _NEGATIVE_UNIPOTENT = "negative unipotent dimension; the configuration is not fi
 @example(
     two_components(Component("a", 1, 0, -3), Component("b", 1, 0, -3), [LocalType.TRANSVERSE] * 3)
 )
+@example(
+    two_components(Component("a", 1, 0, -4), Component("b", 2, 0, -1), [LocalType.TRANSVERSE] * 2)
+)
 def test_profile_fields_against_oracles(config):
-    """invariant_profile raises exactly the first of its four rejections
-    that the oracles find, and nothing on any other input: M*m != 0,
-    intrinsic singularities on a reducible curve, a genus-one component on
-    a reducible curve, and a negative unipotent dimension. A profile it
-    returns has the cycle rank of Roberts' graph as K^-1 and torus rank;
-    chi = -m.Mm/2, or 1 - g - sum of deltas on one singular component,
-    gives g_a = 1 - chi and the unipotent dimension
-    1 - chi - torus - elliptic; the elliptic rank is the sum of the genera,
-    the discrete rank the component count, and G0 has rank components + 1
-    over rational components and 2 over one genus-1 component. A reduced
-    curve counts the point and intrinsic vertices of Roberts' graph as its
-    singular points, and is smooth when there are none; a non-reduced
-    curve has no count."""
+    """invariant_profile raises exactly the first of its two rejections that
+    the oracles find, and nothing on any other input: M*m != 0, then a
+    component whose square breaks adjunction. Past both, no intrinsic
+    singularity or genus-one component lies on a reducible curve, and the
+    unipotent dimension is not negative. A profile it returns has the cycle
+    rank of Roberts' graph as K^-1 and torus rank; chi = -m.Mm/2, or
+    1 - g - sum of deltas on one singular component, gives g_a = 1 - chi
+    and the unipotent dimension 1 - chi - torus - elliptic; the elliptic
+    rank is the sum of the genera, the discrete rank the component count,
+    and G0 has rank components + 1 over rational components and 2 over one
+    genus-1 component. A reduced curve counts the point and intrinsic
+    vertices of Roberts' graph as its singular points, and is smooth when
+    there are none; a non-reduced curve has no count."""
     mult = config.multiplicities()
     product = [sum(x * v for x, v in zip(row, mult)) for row in dense_matrix(config)]
     graph = bipartite_graph(reduce(config))
@@ -325,19 +337,16 @@ def test_profile_fields_against_oracles(config):
         chi = 1 - first.geometric_genus - len(first.intrinsic)
     else:
         chi = -(sum(v * w for v, w in zip(mult, product)) // 2)
-    rejections = [
-        (_NOT_FIBER_LIKE, any(product)),
-        (_INTRINSIC_ON_REDUCIBLE, bool(rest) and any(c.intrinsic for c in config.components)),
-        (_GENUS_ON_REDUCIBLE, bool(rest) and any(genera)),
-        (_NEGATIVE_UNIPOTENT, 1 - chi - torus - sum(genera) < 0),
-    ]
-    expected_error = next((message for message, applies in rejections if applies), None)
+    expected_error = _NOT_FIBER_LIKE if any(product) else adjunction_rejection(config)
     try:
         profile = invariant_profile(config)
     except ValueError as error:
         assert str(error) == expected_error
         return
     assert expected_error is None
+    assert not (rest and any(c.intrinsic for c in config.components))
+    assert not (rest and any(genera))
+    assert 1 - chi - torus - sum(genera) >= 0
     reduced = reduce(config) == config
     points = sum(1 for vertex in graph if vertex[0] != "c")
     assert profile.reduced == reduced
