@@ -4,7 +4,10 @@ Every possible fiber of a smooth elliptic surface is covered: the cycles
 I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
-E~7, E~6. Builders produce explicit configurations; `classify` maps an
+E~7, E~6. Builders produce explicit configurations. The cycles of three
+or more curves and the IStar types share their records: they slice their
+(-2)-curves and chain points out of one run per multiplicity, which grows
+under a lock to the largest type built so far. `classify` maps an
 arbitrary configuration back to its type by reading its sorted
 multiplicities, which for a fiber of (-2)-curves are a multiple of the
 null root of its affine diagram; no component order or label counts.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,8 +172,45 @@ def _from_incidences(
 
 
 @functools.cache
+def _run(multiplicity: int) -> tuple[list[Component], list[SingularPoint]]:
+    """(-2)-curves c1, c2, ... of one multiplicity, and the transverse
+    points p1, p2, ... where pk meets ck and c(k+1); `_grown` extends them."""
+    return [], []
+
+
+_GROWING = threading.Lock()
+
+
+def _grown(multiplicity: int, n: int) -> tuple[list[Component], list[SingularPoint]]:
+    """The run of a multiplicity, with at least n curves and n - 1 points.
+
+    Runs only grow, so readers slice them without the lock. Each list of
+    new records is made whole before it extends the run, the curves before
+    the points, so a failure leaves no point without its curves.
+    """
+    curves, links = _run(multiplicity)
+    if len(links) < n - 1:
+        with _GROWING:
+            curves, links = _run(multiplicity)
+            curves.extend(
+                [Component(f"c{i}", multiplicity, 0, -2) for i in range(len(curves) + 1, n + 1)]
+            )
+            links.extend(
+                [
+                    SingularPoint(f"p{k}", LocalType.TRANSVERSE, (curves[k - 1].name, curves[k].name))
+                    for k in range(len(links) + 1, n)
+                ]
+            )
+    return curves, links
+
+
+@functools.cache
 def build(kind: KodairaType) -> CurveConfiguration:
-    """The standard configuration of a catalog type."""
+    """The standard configuration of a catalog type.
+
+    Cycles of N >= 3 curves and the IStar types slice their curves and
+    their chain points out of the shared runs.
+    """
     family, n, m = kind.family, kind.n, kind.m
     if family in ("I", "mI"):
         mult = 1 if family == "I" else m
@@ -178,8 +219,11 @@ def build(kind: KodairaType) -> CurveConfiguration:
             return _irreducible(mult, 1, ())
         if n == 1:
             return _irreducible(mult, 0, (IntrinsicType.NODE,))
-        pairs = [(1, 2), (1, 2)] if n == 2 else [(i, i % n + 1) for i in range(1, n + 1)]
-        return _from_incidences((mult,) * n, tuple(pairs))
+        if n == 2:
+            return _from_incidences((mult, mult), ((1, 2), (1, 2)))
+        curves, links = _grown(mult, n)
+        closing = SingularPoint(f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name))
+        return CurveConfiguration(tuple(curves[:n]), (*links[: n - 1], closing))
     if family == "II":
         return _irreducible(1, 0, (IntrinsicType.CUSP,))
     if family == "III":
@@ -188,11 +232,15 @@ def build(kind: KodairaType) -> CurveConfiguration:
         return _from_incidences((1, 1, 1), ((1, 2, 3),), LocalType.ORDINARY_TRIPLE)
     if family == "IStar":
         assert n is not None
-        mults = (1, 1, 1, 1) + (2,) * (n + 1)
-        far = n + 5
-        incidences = [(1, 5), (2, 5), (3, far), (4, far)]
-        incidences += [(j, j + 1) for j in range(5, far)]
-        return _from_incidences(mults, tuple(incidences))
+        leaves = _grown(1, 4)[0][:4]
+        curves, links = _grown(2, n + 5)
+        middle = curves[4 : n + 5]
+        near, far = middle[0].name, middle[-1].name
+        ends = [
+            SingularPoint(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
+            for k, leaf, hub in zip(range(1, 5), leaves, (near, near, far, far))
+        ]
+        return CurveConfiguration((*leaves, *middle), (*ends, *links[4 : n + 4]))
     return _from_incidences(*_STAR_DATA[family])
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -166,10 +167,8 @@ def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     index = {c.name: i for i, c in enumerate(config.components)}
     for p in config.points:
         contribution = p.local_type.pair_contribution()
-        ids = [index[name] for name in p.incident]
-        for a, i in enumerate(ids):
-            for j in ids[a + 1 :]:
-                yield i, j, contribution
+        for a, b in combinations(p.incident, 2):
+            yield index[a], index[b], contribution
 
 
 def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:

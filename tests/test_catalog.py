@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,10 +14,12 @@ from kodaira import (
     Subclass,
     TypeSpecError,
     build,
+    catalog,
     catalog_types,
     classify,
     fiber_obstruction,
     parse_type,
+    serialize_document,
     subclass_of,
 )
 from oracles import relabeled
@@ -89,7 +94,84 @@ class TestParseType:
         assert not isinstance(exc_info.value, TypeSpecError)
 
 
+_SLICED = catalog_types(12, 4) + [
+    KodairaType("I", 150),
+    KodairaType("IStar", 150),
+    KodairaType("mI", n=150, m=3),
+]
+
+
+def _clear_build_caches() -> None:
+    build.cache_clear()
+    catalog._run.cache_clear()
+
+
+def _incidence_build(kind: KodairaType) -> CurveConfiguration:
+    """A cycle of N >= 3 curves or an IStar type, every record made for it
+    alone from its incidences."""
+    n = kind.n
+    if kind.family == "IStar":
+        far = n + 5
+        incidences = [(1, 5), (2, 5), (3, far), (4, far)] + [(j, j + 1) for j in range(5, far)]
+        return catalog._from_incidences((1,) * 4 + (2,) * (n + 1), tuple(incidences))
+    mult = 1 if kind.family == "I" else kind.m
+    return catalog._from_incidences((mult,) * n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+
+
 class TestBuild:
+    def test_cold_and_warm_runs_give_the_same_configuration(self):
+        """A type built from runs that only it has grown serializes as it
+        does after every other type, in reverse order, has grown them; the
+        cycles of N >= 3 curves and the IStar types equal their incidence
+        builds."""
+        cold = {}
+        for kind in _SLICED:
+            _clear_build_caches()
+            cold[kind] = serialize_document(build(kind))
+            if kind.family == "IStar" or kind.n is not None and kind.n >= 3:
+                assert build(kind) == _incidence_build(kind), kind
+        for kind in _SLICED:
+            _clear_build_caches()
+            for other in reversed(_SLICED):
+                if other != kind:
+                    build(other)
+            build.cache_clear()
+            assert serialize_document(build(kind)) == cold[kind], kind
+
+    def test_concurrent_builds_match_builds_made_alone(self):
+        """Four threads build shuffled mixes of cycles and IStar types from
+        cold caches, switching every microsecond; the runs grow under one
+        lock, so every configuration equals the one built alone."""
+        kinds = [
+            kind
+            for n in range(50, 1000, 50)
+            for kind in (KodairaType("I", n), KodairaType("IStar", n), KodairaType("mI", n, 2))
+        ]
+        alone = {}
+        for kind in kinds:
+            _clear_build_caches()
+            alone[kind] = build(kind)
+
+        start = threading.Barrier(4)
+
+        def build_all(seed: int) -> list[tuple[KodairaType, CurveConfiguration]]:
+            order = kinds[:]
+            random.Random(seed).shuffle(order)
+            start.wait(timeout=60)
+            return [(kind, build(kind)) for kind in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first in range(0, 16, 4):
+                _clear_build_caches()
+                seeds = range(first, first + 4)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    for built in pool.map(build_all, seeds, timeout=60):
+                        assert all(config == alone[kind] for kind, config in built)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_iistar_components(self):
         config = build(KodairaType("IIStar"))
         assert config.n_components == 9

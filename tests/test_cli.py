@@ -22,6 +22,7 @@ from kodaira import (
     SingularPoint,
     Witness,
     build,
+    catalog,
     catalog_types,
     cli,
     curves,
@@ -352,6 +353,31 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
     assert made[PartnerVerdict] <= len(catalog_types(40, 6))
 
 
+def _clear_caches() -> None:
+    build.cache_clear()
+    catalog._run.cache_clear()
+    invariant_profile.cache_clear()
+
+
+def test_a_cold_matrix_slices_its_records_out_of_shared_runs(capsys, monkeypatch):
+    """The cycles and IStar types of `matrix --max-n 40 --max-m 6` share
+    their curves and chain points, one run per multiplicity: 299 component
+    and 666 point records for the 293 types, where one set of records per
+    type made 5,981 and 5,921."""
+    made = {Component: 0, SingularPoint: 0}
+    for cls in made:
+
+        def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+            made[cls] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    _clear_caches()
+    code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6")
+    assert code == 0 and "IIStar" in out
+    assert made[Component] <= 300 and made[SingularPoint] <= 700, made
+
+
 _ORACLE_TYPES = catalog_types(8, 3) + [
     KodairaType("I", 150),
     KodairaType("IStar", 150),
@@ -500,6 +526,21 @@ def test_matrix_writes_its_rows_in_small_memory():
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) < 1.5 * 2**20, peaks
+
+
+def test_a_cold_matrix_builds_its_types_in_small_memory():
+    """With every cache cleared, the 853 types of `matrix --max-n 120
+    --max-m 6` slice their records out of one run per multiplicity: the
+    cold run peaks at about 2.3 MiB, where one set of records per type
+    peaked at 19.8 MiB."""
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        digest_of(["matrix", "--max-n", "120", "--max-m", "6"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
