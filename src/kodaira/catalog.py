@@ -4,10 +4,12 @@ Every possible fiber of a smooth elliptic surface is covered: the cycles
 I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
-E~7, E~6. Builders produce explicit configurations. The cycles of three
-or more curves and the IStar types share their records: they slice their
-(-2)-curves and chain points out of one run per multiplicity, which grows
-under a lock to the largest type built so far. `classify` maps an
+E~7, E~6. Builders produce explicit configurations, valid by
+construction, so `build` returns them without re-checking names, references
+or connectivity; a test re-validates every type it builds. The cycles of
+three or more curves and the IStar types share their records: they slice
+their (-2)-curves and chain points out of one run per multiplicity, which
+grows under a lock to the largest type built so far. `classify` maps an
 arbitrary configuration back to its type by reading its sorted
 multiplicities, which for a fiber of (-2)-curves are a multiple of the
 null root of its affine diagram; no component order or label counts.
@@ -150,9 +152,7 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 
 
 def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, ...]) -> CurveConfiguration:
-    return CurveConfiguration(
-        (Component("c1", multiplicity, genus, 0, intrinsic),)
-    )
+    return CurveConfiguration._trusted((Component("c1", multiplicity, genus, 0, intrinsic),))
 
 
 def _from_incidences(
@@ -168,7 +168,7 @@ def _from_incidences(
         SingularPoint(f"p{k + 1}", local, tuple([names[i - 1] for i in incident]))
         for k, incident in enumerate(incidences)
     )
-    return CurveConfiguration(components, points)
+    return CurveConfiguration._trusted(components, points)
 
 
 @functools.cache
@@ -223,7 +223,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
             return _from_incidences((mult, mult), ((1, 2), (1, 2)))
         curves, links = _grown(mult, n)
         closing = SingularPoint(f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name))
-        return CurveConfiguration(tuple(curves[:n]), (*links[: n - 1], closing))
+        return CurveConfiguration._trusted(tuple(curves[:n]), (*links[: n - 1], closing))
     if family == "II":
         return _irreducible(1, 0, (IntrinsicType.CUSP,))
     if family == "III":
@@ -240,7 +240,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
             SingularPoint(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
             for k, leaf, hub in zip(range(1, 5), leaves, (near, near, far, far))
         ]
-        return CurveConfiguration((*leaves, *middle), (*ends, *links[4 : n + 4]))
+        return CurveConfiguration._trusted((*leaves, *middle), (*ends, *links[4 : n + 4]))
     return _from_incidences(*_STAR_DATA[family])
 
 

@@ -140,10 +140,24 @@ def parse_document(text: str) -> CurveConfiguration:
     return CurveConfiguration(tuple(records["component"]), tuple(records["point"]))
 
 
+def _check_name(what: str, name: str) -> None:
+    # the parser reads a name as one whitespace-free token, cuts a line at
+    # "#" and takes a line that starts with "[" for a section header
+    if name.split() != [name] or "#" in name or name.startswith("["):
+        raise ValueError(
+            f"{what} {name!r}: a document name is one token without '#' that does not start with '['"
+        )
+
+
 def serialize_document(config: CurveConfiguration) -> str:
-    """Stable textual form of a configuration; parse_document inverts it."""
+    """Stable textual form of a configuration; parse_document inverts it.
+
+    A component or point name that the parser would read otherwise raises
+    ValueError naming the record.
+    """
     lines = ["[components]"]
     for c in config.components:
+        _check_name("component", c.name)
         record = f"{c.name} {c.multiplicity} {c.geometric_genus} {c.self_intersection}"
         if c.intrinsic:
             record += " intrinsic=" + ",".join(s.value for s in c.intrinsic)
@@ -151,5 +165,6 @@ def serialize_document(config: CurveConfiguration) -> str:
     if config.points:
         lines.append("[points]")
         for p in config.points:
+            _check_name("point", p.name)
             lines.append(f"{p.name} {p.local_type.value} " + " ".join(p.incident))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ and point records, because the test itself settles the divisor square.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -113,7 +112,6 @@ def loop_rank(config: CurveConfiguration) -> int:
     )
 
 
-@functools.cache
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a fiber-like configuration, and its type.
 

@@ -1,0 +1,141 @@
+"""Mutation checks: every mutant below must fail each test named beside it.
+
+Run from anywhere, with the test dependencies installed::
+
+    python tests/mutants.py
+
+The runner copies what the tests read (`src/`, `tests/`, `docs/`,
+`README.md` and `pyproject.toml`) to a temporary directory and checks that
+every named test passes there. Then it applies one mutant at a time to
+the copy, runs each of the mutant's tests alone, and restores the file. It
+fails if a mutant's old text does not occur exactly once in its file, or
+if a named test passes against its mutant. The working tree is never
+edited. When a refactor moves a mutant's old text, update the record; do
+not drop it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "docs", "README.md", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """A one-place change to a file, and the tests that must each catch it."""
+
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids
+
+
+MUTANTS = (
+    Mutant(
+        "`build` names every point of an incidence build p1",
+        "src/kodaira/catalog.py",
+        'SingularPoint(f"p{k + 1}", local,',
+        'SingularPoint("p1", local,',
+        (
+            "tests/test_catalog.py::TestBuild"
+            "::test_the_checked_constructor_accepts_every_built_configuration",
+        ),
+    ),
+    Mutant(
+        "`invariant_profile` memoized per configuration",
+        "src/kodaira/invariants.py",
+        "def invariant_profile(",
+        '@__import__("functools").cache\ndef invariant_profile(',
+        (
+            "tests/test_invariants.py::test_no_invariant_keeps_its_configuration_alive",
+            "tests/test_cli.py::test_a_cold_matrix_neither_checks_nor_hashes_a_configuration",
+            "tests/test_partner.py::test_one_recognizer_call_per_profile",
+        ),
+    ),
+    Mutant(
+        "adjunction ignores intrinsic singularities",
+        "src/kodaira/curves.py",
+        "needed = 2 * (c.geometric_genus + len(c.intrinsic)) - 2",
+        "needed = 2 * (c.geometric_genus + 0) - 2",
+        (
+            "tests/test_acceptance.py::test_criterion_1_genus_one_reproduction",
+            "tests/test_catalog.py::TestClassify::test_roundtrip",
+        ),
+    ),
+    Mutant(
+        "III and IV swapped in the recognizer",
+        "src/kodaira/catalog.py",
+        'KodairaType("III" if local is LocalType.TACNODE else "IV")',
+        'KodairaType("IV" if local is LocalType.TACNODE else "III")',
+        (
+            "tests/test_catalog.py::TestClassify::test_two_points_versus_one_tacnode",
+            "tests/test_acceptance.py::test_criterion_9_recognition_roundtrip",
+            "tests/test_properties.py::test_recognizer_agrees_with_isomorphism_to_the_catalog",
+        ),
+    ),
+)
+
+
+def _pytest(root: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for the tests in the copy at root: 0 when all
+    pass, 1 when one fails, other values when a test id does not resolve."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True).returncode
+
+
+def _copy(root: Path) -> None:
+    for name in COPIED:
+        source = REPO / name
+        if source.is_dir():
+            ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+            shutil.copytree(source, root / name, ignore=ignore)
+        else:
+            shutil.copy2(source, root / name)
+
+
+def run() -> list[str]:
+    """Every failure of the mutation checks, as one line each."""
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="kodaira-mutants-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        named = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+        status = _pytest(root, named)
+        if status != 0:
+            return [f"the unmutated copy does not pass every named test (pytest exit {status})"]
+        for mutant in MUTANTS:
+            path = root / mutant.path
+            text = path.read_text(encoding="utf-8")
+            found = text.count(mutant.old)
+            if found != 1:
+                failures.append(f"{mutant.name}: old text occurs {found} times in {mutant.path}")
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                for test in mutant.tests:
+                    status = _pytest(root, (test,))
+                    verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
+                    print(f"{verdict}: {mutant.name} / {test}", flush=True)
+                    if status != 1:
+                        failures.append(f"{mutant.name}: {test} {verdict}")
+            finally:
+                path.write_text(text, encoding="utf-8")
+    return failures
+
+
+if __name__ == "__main__":
+    problems = run()
+    for line in problems:
+        print(f"FAIL: {line}", file=sys.stderr)
+    print(f"{len(MUTANTS)} mutants, {len(problems)} failures")
+    sys.exit(1 if problems else 0)

@@ -172,6 +172,15 @@ class TestBuild:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_the_checked_constructor_accepts_every_built_configuration(self):
+        """`build` returns its configurations unchecked, as valid by
+        construction; the public constructor re-checks names, references and
+        connectivity, and gives back an equal configuration for each."""
+        large = [KodairaType("I", 2000), KodairaType("IStar", 2000), KodairaType("mI", n=2000, m=5)]
+        for kind in _SLICED + catalog_types(40, 6) + large:
+            config = build(kind)
+            assert CurveConfiguration(config.components, config.points) == config, kind
+
     def test_iistar_components(self):
         config = build(KodairaType("IIStar"))
         assert config.n_components == 9

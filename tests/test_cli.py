@@ -346,7 +346,6 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
 
         monkeypatch.setattr(cls, "__init__", counted)
     build.cache_clear()
-    invariant_profile.cache_clear()
     code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6", "--format", fmt)
     assert code == 0 and "IIStar" in out
     assert made[Witness] == 0
@@ -356,7 +355,6 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
 def _clear_caches() -> None:
     build.cache_clear()
     catalog._run.cache_clear()
-    invariant_profile.cache_clear()
 
 
 def test_a_cold_matrix_slices_its_records_out_of_shared_runs(capsys, monkeypatch):
@@ -376,6 +374,27 @@ def test_a_cold_matrix_slices_its_records_out_of_shared_runs(capsys, monkeypatch
     code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6")
     assert code == 0 and "IIStar" in out
     assert made[Component] <= 300 and made[SingularPoint] <= 700, made
+
+
+def test_a_cold_matrix_neither_checks_nor_hashes_a_configuration(capsys, monkeypatch):
+    """`build` returns its configurations unchecked, as valid by
+    construction, and no profile is memoized, so a cold
+    `matrix --max-n 40 --max-m 6` re-checks and hashes none of its 293
+    configurations; checked builds and a profile cache did each 293 times."""
+    calls = {"__post_init__": 0, "__hash__": 0}
+    for name in calls:
+
+        def counted(self, name=name, method=getattr(CurveConfiguration, name)):
+            calls[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(CurveConfiguration, name, counted)
+    _clear_caches()
+    code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6")
+    assert code == 0 and "IIStar" in out
+    assert calls == {"__post_init__": 0, "__hash__": 0}
+    hash(CurveConfiguration((Component("a", 1, 1, 0),)))  # the counters do count
+    assert calls == {"__post_init__": 1, "__hash__": 1}
 
 
 _ORACLE_TYPES = catalog_types(8, 3) + [
@@ -552,7 +571,7 @@ def test_a_cold_matrix_builds_its_types_in_small_memory():
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
     """D_sg is read off the profile's smooth flag and K^-1 rank, so `show`
-    with a cold profile cache runs `loop_rank` once."""
+    runs `loop_rank` once."""
     loop_rank = invariants.loop_rank
     calls = []
 
@@ -561,7 +580,6 @@ def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
         return loop_rank(config)
 
     monkeypatch.setattr(invariants, "loop_rank", counted)
-    invariant_profile.cache_clear()
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
     assert code == 0
     assert len(calls) == 1
@@ -653,7 +671,7 @@ def test_module_entry_point_exits_one_on_a_usage_error():
     ids=["recognized", "not-fiber-like", "fiber-like-uncatalogued"],
 )
 def test_one_fiber_product_per_configuration(capsys, monkeypatch, tmp_path, text):
-    """`classify` and a cold `invariant_profile` each make one M·m product,
+    """`classify` and `invariant_profile` each make one M·m product,
     whether or not the configuration is recognized."""
     product = curves._product
     calls = []
@@ -668,7 +686,6 @@ def test_one_fiber_product_per_configuration(capsys, monkeypatch, tmp_path, text
     main(["classify", str(path)])
     assert len(calls) == 1
     calls.clear()
-    invariant_profile.cache_clear()
     with contextlib.suppress(ValueError):  # the chain is not fiber-like
         invariant_profile(parse_document(text))
     assert len(calls) == 1

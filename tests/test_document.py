@@ -1,13 +1,17 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from kodaira import (
+    Component,
     ConfigurationError,
+    CurveConfiguration,
     DocumentError,
     IntrinsicType,
     KodairaType,
     LocalType,
+    SingularPoint,
     build,
     catalog_types,
     classify,
@@ -169,6 +173,28 @@ class TestRoundtrip:
     def test_serialize_then_parse_is_identity(self, kind):
         config = build(kind)
         assert parse_document(serialize_document(config)) == config
+
+    @staticmethod
+    def _tacnode(component: str, point: str) -> CurveConfiguration:
+        """Type III with the first component and the point named as given."""
+        return CurveConfiguration(
+            (Component(component), Component("b")),
+            (SingularPoint(point, LocalType.TACNODE, (component, "b")),),
+        )
+
+    @pytest.mark.parametrize("name", ["a b", "a#b", "[x", ""])
+    @pytest.mark.parametrize("record", ["component", "point"])
+    def test_a_name_the_parser_reads_otherwise_is_refused(self, record, name):
+        """Such a name would serialize to text that `parse_document` rejects,
+        so `serialize_document` raises instead, naming the record."""
+        config = self._tacnode(name, "p") if record == "component" else self._tacnode("a", name)
+        with pytest.raises(ValueError, match=f"^{record} {re.escape(repr(name))}: "):
+            serialize_document(config)
+
+    @pytest.mark.parametrize("name", ["x[", "a]", "é", "intrinsic=node"])
+    def test_unusual_names_that_are_one_token_round_trip(self, name):
+        for config in (self._tacnode(name, "p"), self._tacnode("a", name)):
+            assert parse_document(serialize_document(config)) == config
 
     def test_serialized_form_is_stable(self):
         text = serialize_document(build(KodairaType("III")))

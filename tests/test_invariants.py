@@ -17,6 +17,7 @@ from kodaira import (
     build,
     catalog_types,
     classify,
+    compare,
     fiber_obstruction,
     intersection_matrix,
     invariant_profile,
@@ -356,11 +357,14 @@ class TestNormalizationCountOracle:
 
 
 def test_no_invariant_keeps_its_configuration_alive():
-    """Only `build` and `invariant_profile` memoize, so a parsed
-    configuration is freed once its caller lets go of it."""
+    """Only `build` and the runs it slices memoize, so a parsed
+    configuration is freed once its caller lets go of it, profiled and
+    compared or not."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
-    for function in (classify, fiber_obstruction, intersection_matrix, loop_rank):
+    for function in (classify, fiber_obstruction, intersection_matrix, loop_rank, invariant_profile):
         function(config)
+    compare(config, build(KodairaType("IIStar")))
+    compare(config, config)
     ref = weakref.ref(config)
     del config
     gc.collect()

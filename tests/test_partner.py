@@ -237,9 +237,11 @@ class TestPartnerMatrix:
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
 
 
-def test_verdicts_read_the_type_off_the_cached_profiles(capsys, monkeypatch):
-    """The recognized type rides on the profile, so once the profiles are
-    cached neither `compare` nor `kodaira matrix` runs the recognizer again."""
+def test_one_recognizer_call_per_profile(capsys, monkeypatch):
+    """The recognized type rides on the profile, so only profiles run the
+    recognizer: one call per profile, two per `compare`, and one per type
+    for `kodaira matrix`, the O(types) profile computations of a matrix
+    stated as a count."""
     recognize = catalog._fiber_type
     calls = []
 
@@ -251,20 +253,22 @@ def test_verdicts_read_the_type_off_the_cached_profiles(capsys, monkeypatch):
         if vars(module).get("_fiber_type") is recognize:
             monkeypatch.setattr(module, "_fiber_type", counted)
     types = catalog_types(6, 3)
-    invariant_profile.cache_clear()
     for kind in types:
+        calls.clear()
         invariant_profile(build(kind))
-    # each cold profile recognized its type through the counted function
-    assert len(calls) == len(types)
+        assert len(calls) == 1, kind
+    for kind in (KodairaType("I", 0), KodairaType("I", 3), KodairaType("IV")):
+        calls.clear()
+        assert compare(build(kind), build(kind)).kind is VerdictKind.ISOMORPHIC
+        assert len(calls) == 2, kind
     calls.clear()
     table = verdict_grid(types)
-    assert calls == []
+    assert len(calls) == 2 * len(types) ** 2
     assert all(table[i][i].kind is not VerdictKind.NOT_EQUIVALENT for i in range(len(types)))
-    for kind in (KodairaType("I", 0), KodairaType("I", 3), KodairaType("IV")):
-        assert compare(build(kind), build(kind)).kind is VerdictKind.ISOMORPHIC
+    calls.clear()
     assert main(["matrix", "--max-n", "6", "--max-m", "3"]) == 0
     assert "IIStar" in capsys.readouterr().out
-    assert calls == []
+    assert len(calls) == len(types)
 
 
 _II, _III, _IV = KodairaType("II"), KodairaType("III"), KodairaType("IV")
