@@ -18,7 +18,6 @@ from .curves import (
     LocalType,
     SingularPoint,
     fiber_obstruction,
-    intersection_matrix,
 )
 from .document import DocumentError, parse_document, serialize_document
 from .invariants import (
@@ -52,7 +51,6 @@ __all__ = [
     "classify",
     "compare",
     "fiber_obstruction",
-    "intersection_matrix",
     "invariant_profile",
     "loop_rank",
     "parse_document",

@@ -4,15 +4,16 @@ Every possible fiber of a smooth elliptic surface is covered: the cycles
 I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
-E~7, E~6. Builders produce explicit configurations, valid by
-construction, so `build` returns them without re-checking names, references
-or connectivity; a test re-validates every type it builds. The cycles of
-three or more curves and the IStar types share their records: they slice
-their (-2)-curves and chain points out of one run per multiplicity, which
-grows under a lock to the largest type built so far. `classify` maps an
-arbitrary configuration back to its type by reading its sorted
-multiplicities, which for a fiber of (-2)-curves are a multiple of the
-null root of its affine diagram; no component order or label counts.
+E~7, E~6. Builders produce explicit configurations, valid by construction,
+so `build` returns them without re-checking names, references or
+connectivity; a test re-validates every type it builds. Each call makes a
+fresh configuration, but the cycles of three or more curves and the IStar
+types share their records: they slice their (-2)-curves and chain points
+out of one run per multiplicity, grown under a lock to the largest type
+built so far. `classify` maps an arbitrary configuration back to its type
+by its sorted multiplicities, which for a fiber of (-2)-curves are a
+multiple of the null root of its affine diagram; no component order or
+label counts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .curves import (
     _adjunction_failure,
     fiber_obstruction,
 )
+from .document import DocumentError, _parse_int
 
 
 class TypeSpecError(ValueError):
@@ -106,10 +108,12 @@ def parse_type(spec: str) -> KodairaType:
         match = pattern.match(text)
         if match is None:
             continue
+        try:  # the regex leaves only the digit limit for `_parse_int` to enforce
+            numbers = [_parse_int(group, "a type spec parameter", None) for group in match.groups()]
+        except DocumentError as exc:
+            raise TypeSpecError(str(exc)) from None
         # well-formed but out-of-range parameters raise plain ValueError
-        if family == "mI":
-            return KodairaType("mI", n=int(match.group(2)), m=int(match.group(1)))
-        return KodairaType(family, n=int(match.group(1)))
+        return KodairaType(family, n=numbers[-1], m=numbers[0] if family == "mI" else None)
     raise TypeSpecError(f"cannot parse type spec {spec!r}")
 
 
@@ -204,12 +208,11 @@ def _grown(multiplicity: int, n: int) -> tuple[list[Component], list[SingularPoi
     return curves, links
 
 
-@functools.cache
 def build(kind: KodairaType) -> CurveConfiguration:
-    """The standard configuration of a catalog type.
+    """The standard configuration of a catalog type, made fresh on every call.
 
-    Cycles of N >= 3 curves and the IStar types slice their curves and
-    their chain points out of the shared runs.
+    Cycles of N >= 3 curves and the IStar types share the curves and the
+    chain points that they slice out of the runs.
     """
     family, n, m = kind.family, kind.n, kind.m
     if family in ("I", "mI"):
@@ -244,18 +247,6 @@ def build(kind: KodairaType) -> CurveConfiguration:
     return _from_incidences(*_STAR_DATA[family])
 
 
-def _classify_irreducible(config: CurveConfiguration) -> KodairaType | None:
-    c = config.components[0]
-    mult = c.multiplicity
-    if c.geometric_genus == 1:
-        return KodairaType("I", 0) if mult == 1 else KodairaType("mI", 0, mult)
-    if c.intrinsic == (IntrinsicType.NODE,):
-        return KodairaType("I", 1) if mult == 1 else KodairaType("mI", 1, mult)
-    if c.intrinsic == (IntrinsicType.CUSP,) and mult == 1:
-        return KodairaType("II")
-    return None
-
-
 def classify(config: CurveConfiguration) -> KodairaType | None:
     """Recognize a configuration as a catalog type, or return None.
 
@@ -270,8 +261,8 @@ def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
     """The catalog type of a configuration that passes the fiber test, or None.
 
     Every fiber component satisfies adjunction, C^2 = 2 p_a(C) - 2. With one
-    component, M * m = 0 makes C^2 = 0, so p_a = 1, and the genus and the
-    intrinsic singularity give the type. With more, connectedness and
+    component, M * m = 0 makes C^2 = 0, so p_a = 1: the curve is smooth of
+    genus one, or rational with a node or a cusp. With more, connectedness and
     M * m = 0 make each m_i C_i^2 = -sum_(j != i) m_j C_i.C_j negative, so
     adjunction leaves only smooth rational (-2)-curves, and the type is read
     off the sorted multiplicities and the local type of any one point.
@@ -293,7 +284,11 @@ def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
     if _adjunction_failure(config) is not None:
         return None
     if config.n_components == 1:
-        return _classify_irreducible(config)
+        c = config.components[0]
+        if c.intrinsic == (IntrinsicType.CUSP,):
+            return KodairaType("II") if c.multiplicity == 1 else None
+        n = 1 - c.geometric_genus
+        return KodairaType("I", n) if c.multiplicity == 1 else KodairaType("mI", n, c.multiplicity)
     mults = sorted(config.multiplicities())
     n, mult = len(mults), mults[0]
     if mult == mults[-1]:

@@ -203,23 +203,6 @@ def _sparse_rows(config: CurveConfiguration) -> list[dict[int, int]]:
     return rows
 
 
-def intersection_matrix(config: CurveConfiguration) -> tuple[tuple[int, ...], ...]:
-    """Pairwise intersection numbers of the components, as a tuple of rows.
-
-    The diagonal holds the self-intersections; off the diagonal, every
-    point adds its local contribution to each pair of its incident
-    components. This is the dense form of `_sparse_rows`; `show` writes
-    those rows and never builds it.
-    """
-    dense = []
-    for row in _sparse_rows(config):
-        entries = [0] * config.n_components
-        for j, e in row.items():
-            entries[j] = e
-        dense.append(tuple(entries))
-    return tuple(dense)
-
-
 def fiber_obstruction(config: CurveConfiguration) -> str | None:
     """Why the configuration fails the numerical fiber test, or None.
 

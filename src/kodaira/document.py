@@ -20,6 +20,7 @@ the line number.
 from __future__ import annotations
 
 import re
+import sys
 
 from .curves import (
     Component,
@@ -47,7 +48,11 @@ def _parse_int(token: str, what: str, line: int | None) -> int:
     # int() would also take "+1", "0_0" and non-ASCII digits
     if not _INTEGER.fullmatch(token):
         raise DocumentError(f"{what} must be an integer, got {token!r}", line)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"{what} has more than {limit} digits", line) from None
 
 
 def _parse_component(tokens: list[str], line: int) -> Component:

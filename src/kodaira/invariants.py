@@ -39,16 +39,7 @@ class PicardDescriptor:
     discrete_rank: int
 
     def identity_component_label(self) -> str:
-        parts = []
-        if self.unipotent_dim:
-            parts.append("G_a" if self.unipotent_dim == 1 else f"G_a^{self.unipotent_dim}")
-        if self.torus_rank:
-            parts.append("G_m" if self.torus_rank == 1 else f"G_m^{self.torus_rank}")
-        if self.elliptic_rank:
-            parts.append(
-                "elliptic" if self.elliptic_rank == 1 else f"elliptic^{self.elliptic_rank}"
-            )
-        return " x ".join(parts) if parts else "trivial"
+        return "G_m" if self.torus_rank else "elliptic" if self.elliptic_rank else "G_a"
 
     def describe(self) -> str:
         return f"extension of Z^{self.discrete_rank} by {self.identity_component_label()}"
@@ -123,9 +114,10 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
 
     - chi(O_X) = -D^2/2 = 0 by Riemann-Roch, since K.D = 0 and
       D^2 = m * (M * m) = 0; so g_a = 1 - chi = 1.
-    - G_0 of coherent sheaves is free of rank N + 1, whatever the
-      multiplicities (devissage), since every component is rational or
-      the curve is irreducible of genus <= 1.
+    - The G_0 rank is N + 1, whatever the multiplicities (devissage). It
+      counts the free part of G_0 of coherent sheaves modulo Pic^0: with
+      rational components G_0 is free on the N components and a point,
+      and a genus-one component E has G_0(E) = Z^2 + Pic^0(E).
     - Pic(X): the elliptic rank is the total geometric genus, the torus
       rank is the loop rank, which is also the rank of K^-1 (K^i = 0 for
       i <= -2), and the unipotent dimension is what is left of

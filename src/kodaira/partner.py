@@ -62,7 +62,6 @@ _NO_CONVERSE_NOTE = "all computed necessary conditions agree; no converse is kno
 # The profile's recognized type is no check, since it is not an invariant:
 # `_agreeing` reads it only once every row here agrees.
 _CHECKS: tuple[tuple[str, Callable[[InvariantProfile], object]], ...] = (
-    ("arithmetic genus", lambda p: p.arithmetic_genus),
     ("G0 rank", lambda p: p.g0_rank),
     ("K^-1 rank", lambda p: p.k_minus_one_rank),
     ("Picard identity component", lambda p: p.picard.identity_component_label()),

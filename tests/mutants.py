@@ -82,6 +82,27 @@ MUTANTS = (
             "tests/test_properties.py::test_recognizer_agrees_with_isomorphism_to_the_catalog",
         ),
     ),
+    Mutant(
+        "`build` memoized per type",
+        "src/kodaira/catalog.py",
+        "def build(kind: KodairaType) -> CurveConfiguration:",
+        "@functools.cache\ndef build(kind: KodairaType) -> CurveConfiguration:",
+        ("tests/test_catalog.py::TestBuild::test_build_keeps_no_configuration_alive",),
+    ),
+    Mutant(
+        "G_m and elliptic swapped in the Picard identity component",
+        "src/kodaira/invariants.py",
+        'return "G_m" if self.torus_rank else "elliptic" if self.elliptic_rank else "G_a"',
+        'return "elliptic" if self.torus_rank else "G_m" if self.elliptic_rank else "G_a"',
+        ("tests/test_acceptance.py::test_criterion_5_picard_trichotomy",),
+    ),
+    Mutant(
+        "the subclass row dropped from the partner checks",
+        "src/kodaira/partner.py",
+        '    ("subclass", lambda p: p.subclass.value if p.subclass else "unclassified"),\n',
+        "",
+        ("tests/test_partner.py::test_the_subclass_row_alone_separates_ivstar_from_its_double",),
+    ),
 )
 
 

@@ -31,6 +31,8 @@ from kodaira import (
     SingularPoint,
     build,
     compare,
+    invariant_profile,
+    partner,
 )
 
 
@@ -299,8 +301,20 @@ MATRIX_CHARS = {"Isomorphic": "=", "NotEquivalent": "x", "PossiblyEquivalent": "
 
 
 def compare_kinds(types) -> list[list[str]]:
-    """The verdict kind of every ordered pair of types, one `compare` per cell."""
-    return [[compare(build(a), build(b)).kind.value for b in types] for a in types]
+    """The verdict kind of every ordered pair of types, one `compare` per cell.
+
+    Each type is built once and profiled once: while the cells are filled,
+    `partner.invariant_profile` answers from a memo keyed by the id of the
+    configuration, and every configuration stays alive until the end.
+    """
+    configs = [build(t) for t in types]
+    profiles = {id(c): invariant_profile(c) for c in configs}
+    real = partner.invariant_profile
+    partner.invariant_profile = lambda config: profiles[id(config)]
+    try:
+        return [[compare(a, b).kind.value for b in configs] for a in configs]
+    finally:
+        partner.invariant_profile = real
 
 
 def matrix_output(types, kinds: list[list[str]], fmt: str) -> str:

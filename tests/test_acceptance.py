@@ -19,7 +19,6 @@ from kodaira import (
     classify,
     compare,
     fiber_obstruction,
-    intersection_matrix,
     invariant_profile,
     loop_rank,
     subclass_of,
@@ -28,6 +27,7 @@ from kodaira.cli import main as cli_main
 from oracles import (
     bipartite_graph,
     cycle_rank_by_spanning_forest,
+    dense_matrix,
     integer_kernel,
     reduce,
     relabeled,
@@ -53,7 +53,7 @@ def test_criterion_2_fiber_class_radical():
     reducible = [t for t in ALL_TYPES if build(t).n_components >= 2]
     for kind in reducible:
         config = build(kind)
-        entries = [list(row) for row in intersection_matrix(config)]
+        entries = dense_matrix(config)
         mult = config.multiplicities()
         product = [sum(x * v for x, v in zip(row, mult)) for row in entries]
         assert product == [0] * len(mult), kind

@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -101,8 +103,7 @@ _SLICED = catalog_types(12, 4) + [
 ]
 
 
-def _clear_build_caches() -> None:
-    build.cache_clear()
+def _clear_runs() -> None:
     catalog._run.cache_clear()
 
 
@@ -119,6 +120,14 @@ def _incidence_build(kind: KodairaType) -> CurveConfiguration:
 
 
 class TestBuild:
+    def test_build_keeps_no_configuration_alive(self):
+        """`build` makes a fresh configuration on every call and memoizes
+        none: only the runs that it slices the records from stay."""
+        ref = weakref.ref(build(KodairaType("I", 5)))
+        gc.collect()
+        assert ref() is None
+        assert build(KodairaType("I", 5)) == build(KodairaType("I", 5))
+
     def test_cold_and_warm_runs_give_the_same_configuration(self):
         """A type built from runs that only it has grown serializes as it
         does after every other type, in reverse order, has grown them; the
@@ -126,21 +135,20 @@ class TestBuild:
         builds."""
         cold = {}
         for kind in _SLICED:
-            _clear_build_caches()
+            _clear_runs()
             cold[kind] = serialize_document(build(kind))
             if kind.family == "IStar" or kind.n is not None and kind.n >= 3:
                 assert build(kind) == _incidence_build(kind), kind
         for kind in _SLICED:
-            _clear_build_caches()
+            _clear_runs()
             for other in reversed(_SLICED):
                 if other != kind:
                     build(other)
-            build.cache_clear()
             assert serialize_document(build(kind)) == cold[kind], kind
 
     def test_concurrent_builds_match_builds_made_alone(self):
         """Four threads build shuffled mixes of cycles and IStar types from
-        cold caches, switching every microsecond; the runs grow under one
+        cold runs, switching every microsecond; the runs grow under one
         lock, so every configuration equals the one built alone."""
         kinds = [
             kind
@@ -149,7 +157,7 @@ class TestBuild:
         ]
         alone = {}
         for kind in kinds:
-            _clear_build_caches()
+            _clear_runs()
             alone[kind] = build(kind)
 
         start = threading.Barrier(4)
@@ -164,7 +172,7 @@ class TestBuild:
         sys.setswitchinterval(1e-6)
         try:
             for first in range(0, 16, 4):
-                _clear_build_caches()
+                _clear_runs()
                 seeds = range(first, first + 4)
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     for built in pool.map(build_all, seeds, timeout=60):

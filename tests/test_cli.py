@@ -62,6 +62,13 @@ def test_readme_examples_reproduce_byte_for_byte(
     assert code == status
 
 
+# int() has refused numbers of more than a set count of digits since Python
+# 3.10.7 and 3.11; a limit of 0 turns the check off
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int() has no digit limit"
+)
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -183,6 +190,32 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "cannot parse" in err
+
+    @_NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize(
+        "record,field",
+        [("c1 {} 1 0", "multiplicity"), ("c1 1 1 -{}", "self_intersection")],
+        ids=["multiplicity", "negative-square"],
+    )
+    def test_a_number_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path, record, field):
+        """int() refuses more than `sys.get_int_max_str_digits()` digits;
+        the parser reports that at the line, without echoing the number."""
+        limit = sys.get_int_max_str_digits()
+        doc = tmp_path / "long.curve"
+        doc.write_text("[components]\n" + record.format("1" + "0" * limit) + "\n")
+        code, out, err = run_cli(capsys, "classify", str(doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: {field} has more than {limit} digits\n"
+        assert "set_int_max_str_digits" not in err
+
+    @_NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize("spec", ["I({})", "mI(2,{})", "{}I3", "I{}*"])
+    def test_a_type_spec_parameter_past_the_digit_limit_is_a_parse_error(self, capsys, spec):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "show", spec.format("1" + "0" * limit))
+        assert (code, out) == (1, "")
+        assert err == f"error: a type spec parameter has more than {limit} digits\n"
+        assert "set_int_max_str_digits" not in err
 
     def test_empty_component_list_is_a_parse_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.curve"
@@ -345,7 +378,6 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    build.cache_clear()
     code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6", "--format", fmt)
     assert code == 0 and "IIStar" in out
     assert made[Witness] == 0
@@ -353,7 +385,6 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
 
 
 def _clear_caches() -> None:
-    build.cache_clear()
     catalog._run.cache_clear()
 
 
@@ -531,13 +562,13 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
 def test_matrix_writes_its_rows_in_small_memory():
     """Every row of a profile class shares the class's sparse row, and
     `_row_texts` slices each printed row out of one all-NotEquivalent row:
-    O(T) text for T types. With the caches warm, both formats of the
+    O(T) text for T types. With the runs grown, both formats of the
     853-type `matrix --max-n 120 --max-m 6` peak below 1.5 MiB; one row
     text per class took 3.7 MiB (table) and 7.2 MiB (JSON)."""
     peaks = {}
     for fmt in ("table", "json"):
         argv = ["matrix", "--max-n", "120", "--max-m", "6", "--format", fmt]
-        digest_of(argv)  # fills the build and profile caches
+        digest_of(argv)  # grows the runs
         tracemalloc.start()
         try:
             digest_of(argv)

@@ -14,10 +14,9 @@ from kodaira import (
     build,
     catalog_types,
     fiber_obstruction,
-    intersection_matrix,
     invariant_profile,
 )
-from oracles import integer_kernel, reduce
+from oracles import dense_matrix, integer_kernel, reduce
 
 
 def single_elliptic():
@@ -37,28 +36,28 @@ def chain_of_three():
 
 class TestIntersectionMatrix:
     def test_istar0_matrix(self):
-        m = intersection_matrix(build(KodairaType("IStar", 0)))
-        expected = (
-            (-2, 0, 0, 0, 1),
-            (0, -2, 0, 0, 1),
-            (0, 0, -2, 0, 1),
-            (0, 0, 0, -2, 1),
-            (1, 1, 1, 1, -2),
-        )
+        m = dense_matrix(build(KodairaType("IStar", 0)))
+        expected = [
+            [-2, 0, 0, 0, 1],
+            [0, -2, 0, 0, 1],
+            [0, 0, -2, 0, 1],
+            [0, 0, 0, -2, 1],
+            [1, 1, 1, 1, -2],
+        ]
         assert m == expected
 
     def test_single_elliptic_component(self):
-        assert intersection_matrix(single_elliptic()) == ((0,),)
+        assert dense_matrix(single_elliptic()) == [[0]]
 
     def test_tacnode_contributes_two(self):
-        m = intersection_matrix(build(KodairaType("III")))
-        assert m == ((-2, 2), (2, -2))
+        m = dense_matrix(build(KodairaType("III")))
+        assert m == [[-2, 2], [2, -2]]
         # the fiber class pairs to zero against each component
         assert fiber_obstruction(build(KodairaType("III"))) is None
 
     @pytest.mark.parametrize("kind", catalog_types(8, 4))
     def test_symmetric_with_nonnegative_off_diagonal(self, kind):
-        m = intersection_matrix(build(kind))
+        m = dense_matrix(build(kind))
         n = len(m)
         for i in range(n):
             for j in range(n):
@@ -70,7 +69,7 @@ class TestIntersectionMatrix:
 def fiber_square(config):
     """D^2 for the fiber class D = sum m_i C_i, read off the dense matrix."""
     m = config.multiplicities()
-    rows = intersection_matrix(config)
+    rows = dense_matrix(config)
     return sum(m[i] * x * m[j] for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
@@ -99,7 +98,7 @@ class TestFiberTest:
     def test_istar_family_is_fiber_like(self, n):
         config = build(KodairaType("IStar", n))
         assert fiber_obstruction(config) is None
-        basis = integer_kernel(intersection_matrix(config))
+        basis = integer_kernel(dense_matrix(config))
         assert len(basis) == 1
         v = basis[0]
         mult = config.multiplicities()
@@ -114,7 +113,7 @@ class TestFiberTest:
             (Component("a"), Component("b")),
             (SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),),
         )
-        assert intersection_matrix(config) == ((-2, 1), (1, -2))
+        assert dense_matrix(config) == [[-2, 1], [1, -2]]
         assert fiber_obstruction(config) == "M*m != 0"
 
     def test_chain_is_not_fiber_like(self):
@@ -124,7 +123,7 @@ class TestFiberTest:
     def test_radical_is_the_primitive_multiplicity_vector(self, kind):
         config = build(kind)
         assert fiber_obstruction(config) is None
-        (basis,) = integer_kernel(intersection_matrix(config))
+        (basis,) = integer_kernel(dense_matrix(config))
         if basis[0] < 0:
             basis = [-x for x in basis]
         g = math.gcd(*config.multiplicities())
@@ -151,7 +150,7 @@ class TestFiberTest:
             (Component("a", 1, 0, 2), Component("b", 1, 0, 2)),
             (SingularPoint("p", LocalType.TACNODE, ("a", "b")),),
         )
-        assert intersection_matrix(config) == ((2, 2), (2, 2))
+        assert dense_matrix(config) == [[2, 2], [2, 2]]
         assert fiber_obstruction(config) == "M*m != 0"
 
     def test_obstruction_is_none_for_fibers(self):
@@ -193,7 +192,7 @@ class TestRadicalAgainstIntegerOracle:
     @pytest.mark.parametrize("kind", [k for k in catalog_types(10, 3) if build(k).n_components >= 2])
     def test_kernel_matches_column_reduction(self, kind):
         config = build(kind)
-        entries = intersection_matrix(config)
+        entries = dense_matrix(config)
         oracle = integer_kernel([list(r) for r in entries])
         assert len(oracle) == 1
         v = oracle[0]

@@ -19,13 +19,12 @@ from kodaira import (
     classify,
     compare,
     fiber_obstruction,
-    intersection_matrix,
     invariant_profile,
     loop_rank,
     parse_document,
     serialize_document,
 )
-from oracles import reduce
+from oracles import dense_matrix, reduce
 
 
 def single_rational_minus_two():
@@ -53,7 +52,7 @@ class TestEulerCharacteristic:
         config = build(KodairaType("I", 1))
         # delta route: chi = 1 - (g + delta) = 0; square route: D^2 = 0
         assert 1 - invariant_profile(config).arithmetic_genus == 0
-        assert intersection_matrix(config) == ((0,),)
+        assert dense_matrix(config) == [[0]]
 
     def test_mixed_intrinsic_case_rejected(self):
         # M * m = 0, but a nodal rational curve has p_a = 1, so adjunction needs square 0
@@ -85,7 +84,7 @@ class TestArithmeticGenus:
         )  # multiplicity pairs along the six incidences
         off_diagonal = 2 * sum(a * b for a, b in edges)
         assert diagonal + off_diagonal == 0
-        rows = intersection_matrix(config)
+        rows = dense_matrix(config)
         assert sum(marks[i] * rows[i][j] * marks[j] for i in range(7) for j in range(7)) == 0
         assert invariant_profile(config).arithmetic_genus == 1
 
@@ -357,11 +356,10 @@ class TestNormalizationCountOracle:
 
 
 def test_no_invariant_keeps_its_configuration_alive():
-    """Only `build` and the runs it slices memoize, so a parsed
-    configuration is freed once its caller lets go of it, profiled and
-    compared or not."""
+    """Only the runs that `build` slices memoize, so a parsed configuration
+    is freed once its caller lets go of it, profiled and compared or not."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
-    for function in (classify, fiber_obstruction, intersection_matrix, loop_rank, invariant_profile):
+    for function in (classify, fiber_obstruction, loop_rank, invariant_profile):
         function(config)
     compare(config, build(KodairaType("IIStar")))
     compare(config, config)

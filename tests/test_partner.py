@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,6 @@ L1_SAMPLE = [KodairaType("I", n) for n in range(7)] + [
 
 # Each check's value read straight off the profile fields, in witness order.
 CHECK_VALUES = {
-    "arithmetic genus": lambda p: p.arithmetic_genus,
     "G0 rank": lambda p: p.g0_rank,
     "K^-1 rank": lambda p: p.k_minus_one_rank,
     "Picard identity component": lambda p: p.picard.identity_component_label(),
@@ -235,6 +235,20 @@ class TestPartnerMatrix:
         assert invariant_profile(build(mi25)) == invariant_profile(build(mi35))
         assert cell(mi25, mi35).kind is VerdictKind.POSSIBLY_EQUIVALENT
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
+
+
+def test_the_subclass_row_alone_separates_ivstar_from_its_double():
+    """IVStar with every multiplicity doubled passes the fiber test and
+    adjunction but is no catalog type. Every other check agrees with
+    IVStar, so the subclass row alone makes the verdict NotEquivalent."""
+    ivstar = build(KodairaType("IVStar"))
+    doubled = CurveConfiguration(
+        tuple(replace(c, multiplicity=2 * c.multiplicity) for c in ivstar.components),
+        ivstar.points,
+    )
+    verdict = compare(ivstar, doubled)
+    assert verdict.kind is VerdictKind.NOT_EQUIVALENT
+    assert verdict.witnesses == (Witness("subclass", "L2", "unclassified"),)
 
 
 def test_one_recognizer_call_per_profile(capsys, monkeypatch):

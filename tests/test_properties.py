@@ -18,10 +18,10 @@ from kodaira import (
     catalog_types,
     classify,
     fiber_obstruction,
-    intersection_matrix,
     invariant_profile,
     loop_rank,
 )
+from kodaira.curves import _sparse_rows
 from oracles import (
     PAIR_WEIGHT,
     bipartite_graph,
@@ -80,12 +80,12 @@ def configurations(draw):
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_intersection_matrix_shape(config):
-    m = intersection_matrix(config)
-    for i in range(len(m)):
-        for j in range(len(m)):
-            assert m[i][j] == m[j][i]
-            if i != j:
-                assert m[i][j] >= 0
+    """The rows `show` prints are symmetric, with no negative entry off the diagonal."""
+    rows = _sparse_rows(config)
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
+            assert rows[j].get(i) == entry
+            assert i == j or entry >= 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,7 +204,12 @@ def test_fiber_test_is_zariskis_lemma(config):
     the library takes from the lemma."""
     mult = config.multiplicities()
     rows = dense_matrix(config)
-    assert intersection_matrix(config) == tuple(map(tuple, rows))
+    # the sparse rows that `show` prints, written out in full
+    shown = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(_sparse_rows(config)):
+        for j, entry in row.items():
+            shown[i][j] = entry
+    assert shown == rows
     product = [sum(x * v for x, v in zip(row, mult)) for row in rows]
 
     kernel = integer_kernel(rows)
