@@ -6,7 +6,8 @@ II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
 E~7, E~6. Builders produce explicit configurations, valid by construction,
 so `build` returns them without re-checking names, references or
-connectivity; a test re-validates every type it builds. Each call makes a
+connectivity, and makes their component and point records unchecked too;
+a test re-validates every type it builds and every record. Each call makes a
 fresh configuration, but the cycles of three or more curves and the IStar
 types share their records: they slice their (-2)-curves and chain points
 out of one run per multiplicity, grown under a lock to the largest type
@@ -156,7 +157,8 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 
 
 def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, ...]) -> CurveConfiguration:
-    return CurveConfiguration._trusted((Component("c1", multiplicity, genus, 0, intrinsic),))
+    component = Component._trusted("c1", multiplicity, genus, 0, intrinsic)
+    return CurveConfiguration._trusted((component,))
 
 
 def _from_incidences(
@@ -167,9 +169,9 @@ def _from_incidences(
     """(-2)-curves c1, c2, ... of the given multiplicities and one point of
     type `local` per incidence, which lists component numbers from 1."""
     names = [f"c{i + 1}" for i in range(len(mults))]
-    components = tuple(Component(name, m, 0, -2) for name, m in zip(names, mults))
+    components = tuple(Component._trusted(name, m, 0, -2, ()) for name, m in zip(names, mults))
     points = tuple(
-        SingularPoint(f"p{k + 1}", local, tuple([names[i - 1] for i in incident]))
+        SingularPoint._trusted(f"p{k + 1}", local, tuple([names[i - 1] for i in incident]))
         for k, incident in enumerate(incidences)
     )
     return CurveConfiguration._trusted(components, points)
@@ -197,11 +199,16 @@ def _grown(multiplicity: int, n: int) -> tuple[list[Component], list[SingularPoi
         with _GROWING:
             curves, links = _run(multiplicity)
             curves.extend(
-                [Component(f"c{i}", multiplicity, 0, -2) for i in range(len(curves) + 1, n + 1)]
+                [
+                    Component._trusted(f"c{i}", multiplicity, 0, -2, ())
+                    for i in range(len(curves) + 1, n + 1)
+                ]
             )
             links.extend(
                 [
-                    SingularPoint(f"p{k}", LocalType.TRANSVERSE, (curves[k - 1].name, curves[k].name))
+                    SingularPoint._trusted(
+                        f"p{k}", LocalType.TRANSVERSE, (curves[k - 1].name, curves[k].name)
+                    )
                     for k in range(len(links) + 1, n)
                 ]
             )
@@ -225,7 +232,9 @@ def build(kind: KodairaType) -> CurveConfiguration:
         if n == 2:
             return _from_incidences((mult, mult), ((1, 2), (1, 2)))
         curves, links = _grown(mult, n)
-        closing = SingularPoint(f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name))
+        closing = SingularPoint._trusted(
+            f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name)
+        )
         return CurveConfiguration._trusted(tuple(curves[:n]), (*links[: n - 1], closing))
     if family == "II":
         return _irreducible(1, 0, (IntrinsicType.CUSP,))
@@ -240,7 +249,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
         middle = curves[4 : n + 5]
         near, far = middle[0].name, middle[-1].name
         ends = [
-            SingularPoint(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
+            SingularPoint._trusted(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
             for k, leaf, hub in zip(range(1, 5), leaves, (near, near, far, far))
         ]
         return CurveConfiguration._trusted((*leaves, *middle), (*ends, *links[4 : n + 4]))

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterator
 
 from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type
 from .curves import _sparse_rows, fiber_obstruction
-from .document import DocumentError, _parse_int, parse_document
+from .document import _INTEGER, DocumentError, _parse_int, parse_document
 from .invariants import DsgStatus, InvariantProfile, invariant_profile
 from .partner import VerdictKind, _agreeing, _classes, compare
 
@@ -259,7 +259,13 @@ def _int_at_least(low: int):
     """argparse type: an int no smaller than `low`."""
 
     def parse(text: str) -> int:
-        value = _parse_int(text, "a bound", None)
+        try:
+            value = _parse_int(text, "a bound", None)
+        except DocumentError as exc:
+            if not _INTEGER.fullmatch(text):
+                raise  # a ValueError: argparse reports an invalid int value
+            # past the digit limit: name the bound without echoing its digits
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

@@ -19,10 +19,10 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -45,19 +45,22 @@ def _class_count(size: int, links: Iterable[tuple[int, int]]) -> int:
 
 
 class LocalType(str, Enum):
-    """How two or three distinct components meet at one point."""
+    """How two or three distinct components meet at one point.
+
+    `arity` counts the incident components; `pair_contribution` is the
+    local intersection number that the point adds to each incident pair.
+    """
 
     TRANSVERSE = "transverse"
     TACNODE = "tacnode"
     ORDINARY_TRIPLE = "ordinary_triple"
 
-    @property
-    def arity(self) -> int:
-        return 3 if self is LocalType.ORDINARY_TRIPLE else 2
+    arity: int
+    pair_contribution: int
 
-    def pair_contribution(self) -> int:
-        """Local intersection number contributed to each incident pair."""
-        return 2 if self is LocalType.TACNODE else 1
+    def __init__(self, value: str) -> None:
+        self.arity = 3 if value == "ordinary_triple" else 2
+        self.pair_contribution = 2 if value == "tacnode" else 1
 
 
 class IntrinsicType(str, Enum):
@@ -66,12 +69,20 @@ class IntrinsicType(str, Enum):
     NODE = "node"
     CUSP = "cusp"
 
-    @property
-    def branches(self) -> int:
-        return 2 if self is IntrinsicType.NODE else 1
+    branches: int
+
+    def __init__(self, value: str) -> None:
+        self.branches = 2 if value == "node" else 1
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """The setter of each field's slot, in field order. It writes the slot
+    directly, past the frozen class's __setattr__, and skips the attribute
+    lookup that object.__setattr__ makes by name."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible component, counted with multiplicity."""
 
@@ -96,8 +107,31 @@ class Component:
                 f"component {self.name!r}: a genus-one component cannot carry intrinsic singularities"
             )
 
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        multiplicity: int,
+        geometric_genus: int,
+        self_intersection: int,
+        intrinsic: tuple[IntrinsicType, ...],
+    ) -> Component:
+        """A component that is valid by construction: no check runs. Only
+        builders whose records a test re-validates use it."""
+        component = object.__new__(cls)
+        set_name, set_multiplicity, set_genus, set_square, set_intrinsic = _COMPONENT_SLOTS
+        set_name(component, name)
+        set_multiplicity(component, multiplicity)
+        set_genus(component, geometric_genus)
+        set_square(component, self_intersection)
+        set_intrinsic(component, intrinsic)
+        return component
 
-@dataclass(frozen=True)
+
+_COMPONENT_SLOTS = _slot_setters(Component)
+
+
+@dataclass(frozen=True, slots=True)
 class SingularPoint:
     """A point where two or three distinct components meet."""
 
@@ -116,6 +150,20 @@ class SingularPoint:
             raise ConfigurationError(
                 f"point {self.name!r}: incident components must be pairwise distinct"
             )
+
+    @classmethod
+    def _trusted(cls, name: str, local_type: LocalType, incident: tuple[str, ...]) -> SingularPoint:
+        """A point that is valid by construction: no check runs. Only
+        builders whose records a test re-validates use it."""
+        point = object.__new__(cls)
+        set_name, set_local_type, set_incident = _POINT_SLOTS
+        set_name(point, name)
+        set_local_type(point, local_type)
+        set_incident(point, incident)
+        return point
+
+
+_POINT_SLOTS = _slot_setters(SingularPoint)
 
 
 @dataclass(frozen=True)
@@ -177,7 +225,7 @@ def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     """
     index = {c.name: i for i, c in enumerate(config.components)}
     for p in config.points:
-        contribution = p.local_type.pair_contribution()
+        contribution = p.local_type.pair_contribution
         for a, b in combinations(p.incident, 2):
             yield index[a], index[b], contribution
 

@@ -98,8 +98,8 @@ def loop_rank(config: CurveConfiguration) -> int:
     return (
         1
         - config.n_components
-        + sum(p.local_type.arity - 1 for p in config.points)
-        + sum(s.branches - 1 for c in config.components for s in c.intrinsic)
+        + sum([p.local_type.arity - 1 for p in config.points])
+        + sum([s.branches - 1 for c in config.components for s in c.intrinsic])
     )
 
 

@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant(
         "`build` names every point of an incidence build p1",
         "src/kodaira/catalog.py",
-        'SingularPoint(f"p{k + 1}", local,',
-        'SingularPoint("p1", local,',
+        'SingularPoint._trusted(f"p{k + 1}", local,',
+        'SingularPoint._trusted("p1", local,',
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructor_accepts_every_built_configuration",
@@ -102,6 +102,33 @@ MUTANTS = (
         '    ("subclass", lambda p: p.subclass.value if p.subclass else "unclassified"),\n',
         "",
         ("tests/test_partner.py::test_the_subclass_row_alone_separates_ivstar_from_its_double",),
+    ),
+    Mutant(
+        "`_grown` makes point pk with incident (ck, ck)",
+        "src/kodaira/catalog.py",
+        "(curves[k - 1].name, curves[k].name)",
+        "(curves[k - 1].name, curves[k - 1].name)",
+        (
+            "tests/test_catalog.py::TestBuild"
+            "::test_the_checked_constructors_accept_every_built_record",
+        ),
+    ),
+    Mutant(
+        "the tacnode's pair contribution is 1",
+        "src/kodaira/curves.py",
+        'self.pair_contribution = 2 if value == "tacnode" else 1',
+        "self.pair_contribution = 1",
+        ("tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[III]",),
+    ),
+    Mutant(
+        "loop rank sums arity in place of arity - 1",
+        "src/kodaira/invariants.py",
+        "sum([p.local_type.arity - 1 for p in config.points])",
+        "sum([p.local_type.arity for p in config.points])",
+        (
+            "tests/test_acceptance.py::test_criterion_4_negative_k_groups",
+            "tests/test_graphs.py::TestLoopRank::test_cycles_have_loop_rank_one[3]",
+        ),
     ),
 )
 

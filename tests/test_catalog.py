@@ -103,6 +103,14 @@ _SLICED = catalog_types(12, 4) + [
 ]
 
 
+# every type that the re-validation tests rebuild with the checked constructors
+_REVALIDATED = (
+    _SLICED
+    + catalog_types(40, 6)
+    + [KodairaType("I", 2000), KodairaType("IStar", 2000), KodairaType("mI", n=2000, m=5)]
+)
+
+
 def _clear_runs() -> None:
     catalog._run.cache_clear()
 
@@ -184,10 +192,24 @@ class TestBuild:
         """`build` returns its configurations unchecked, as valid by
         construction; the public constructor re-checks names, references and
         connectivity, and gives back an equal configuration for each."""
-        large = [KodairaType("I", 2000), KodairaType("IStar", 2000), KodairaType("mI", n=2000, m=5)]
-        for kind in _SLICED + catalog_types(40, 6) + large:
+        for kind in _REVALIDATED:
             config = build(kind)
             assert CurveConfiguration(config.components, config.points) == config, kind
+
+    def test_the_checked_constructors_accept_every_built_record(self):
+        """`build` makes its component and point records unchecked, as valid
+        by construction; the public constructors re-check each record from
+        its own fields and give back an equal one. The records are slotted."""
+        assert not hasattr(build(KodairaType("I", 3)).components[0], "__dict__")
+        for kind in _REVALIDATED:
+            config = build(kind)
+            for c in config.components:
+                checked = Component(
+                    c.name, c.multiplicity, c.geometric_genus, c.self_intersection, c.intrinsic
+                )
+                assert checked == c, (kind, c)
+            for p in config.points:
+                assert SingularPoint(p.name, p.local_type, p.incident) == p, (kind, p)
 
     def test_iistar_components(self):
         config = build(KodairaType("IIStar"))

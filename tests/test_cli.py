@@ -184,6 +184,17 @@ class TestExitCodes:
         assert out == ""
         assert f"invalid int value: {bounds[1]!r}" in err
 
+    @_NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize("option", ["--max-n", "--max-m"])
+    def test_a_matrix_bound_past_the_digit_limit_is_not_echoed(self, capsys, option):
+        """A bound of more digits than int() converts is a usage error that
+        names the bound; the usage error does not echo its digits."""
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "matrix", option, "1" + "0" * limit)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {option}: a bound has more than {limit} digits\n")
+        assert len(err.encode()) < 400
+
     @pytest.mark.parametrize("spec", ["I(٣)", "IStar(１)", "mI(٢,3)", "I٣*"])
     def test_type_spec_digits_must_be_ascii(self, capsys, spec):
         code, out, err = run_cli(capsys, "show", spec)
@@ -662,9 +673,10 @@ def test_a_closed_stdout_exits_one_without_a_message():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
 def test_running_out_of_memory_exits_one_with_an_error_line():
-    """I(2000000) needs about 1.5 GB of records; under a 512 MiB
-    address-space cap, set in the child alone, `main` reports the
-    MemoryError in one line instead of a traceback."""
+    """`compare "I(1000000)" II` peaks at about 460 MiB, so I(2000000)
+    needs about twice the 512 MiB address-space cap set in the child
+    alone; `main` reports the MemoryError in one line instead of a
+    traceback."""
     import resource
 
     def cap():

@@ -241,6 +241,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SingularPoint("p", LocalType.ORDINARY_TRIPLE, ("a", "b"))
 
+    def test_local_and_intrinsic_constants(self):
+        arity = {local: local.arity for local in LocalType}
+        contribution = {local: local.pair_contribution for local in LocalType}
+        assert arity == {
+            LocalType.TRANSVERSE: 2,
+            LocalType.TACNODE: 2,
+            LocalType.ORDINARY_TRIPLE: 3,
+        }
+        assert contribution == {
+            LocalType.TRANSVERSE: 1,
+            LocalType.TACNODE: 2,
+            LocalType.ORDINARY_TRIPLE: 1,
+        }
+        branches = {intrinsic: intrinsic.branches for intrinsic in IntrinsicType}
+        assert branches == {IntrinsicType.NODE: 2, IntrinsicType.CUSP: 1}
+
     def test_repeated_incident_component_rejected(self):
         with pytest.raises(ConfigurationError):
             SingularPoint("p", LocalType.TRANSVERSE, ("a", "a"))
