@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant(
         "`build` names every point of an incidence build p1",
         "src/kodaira/catalog.py",
-        'SingularPoint._trusted(f"p{k + 1}", local,',
-        'SingularPoint._trusted("p1", local,',
+        'SingularPoint(f"p{k + 1}", local,',
+        'SingularPoint("p1", local,',
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructor_accepts_every_built_configuration",
@@ -129,6 +129,20 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_4_negative_k_groups",
             "tests/test_graphs.py::TestLoopRank::test_cycles_have_loop_rank_one[3]",
         ),
+    ),
+    Mutant(
+        "M*m checked on the first row only",
+        "src/kodaira/curves.py",
+        "if any(_product(config, config.multiplicities())):",
+        "if _product(config, config.multiplicities())[0]:",
+        ("tests/test_curves.py::TestFiberTest::test_a_product_zero_in_its_first_row_only_fails",),
+    ),
+    Mutant(
+        "`SingularPoint` accepts a repeated incident component",
+        "src/kodaira/curves.py",
+        "if incident[0] == incident[1] or (arity == 3 and incident[2] in incident[:2]):",
+        "if False:",
+        ("tests/test_curves.py::TestValidation::test_repeated_incident_component_rejected",),
     ),
 )
 

@@ -197,9 +197,9 @@ class TestBuild:
             assert CurveConfiguration(config.components, config.points) == config, kind
 
     def test_the_checked_constructors_accept_every_built_record(self):
-        """`build` makes its component and point records unchecked, as valid
-        by construction; the public constructors re-check each record from
-        its own fields and give back an equal one. The records are slotted."""
+        """`build` makes its component and point records through the checked
+        constructors, so each one passes its checks; made again from its own
+        fields, each gives back an equal record. The records are slotted."""
         assert not hasattr(build(KodairaType("I", 3)).components[0], "__dict__")
         for kind in _REVALIDATED:
             config = build(kind)

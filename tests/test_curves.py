@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -118,6 +120,14 @@ class TestFiberTest:
 
     def test_chain_is_not_fiber_like(self):
         assert fiber_obstruction(chain_of_three()) == "M*m != 0"
+
+    def test_a_product_zero_in_its_first_row_only_fails(self):
+        # m = (1, 2), so M * m = (-2 + 2, 1 - 4) = (0, -3)
+        config = CurveConfiguration(
+            (Component("a"), Component("b", 2)),
+            (SingularPoint("p", LocalType.TRANSVERSE, ("a", "b")),),
+        )
+        assert fiber_obstruction(config) == "M*m != 0"
 
     @pytest.mark.parametrize("kind", catalog_types(6, 4), ids=str)
     def test_radical_is_the_primitive_multiplicity_vector(self, kind):
@@ -260,3 +270,36 @@ class TestValidation:
     def test_repeated_incident_component_rejected(self):
         with pytest.raises(ConfigurationError):
             SingularPoint("p", LocalType.TRANSVERSE, ("a", "a"))
+        for incident in (("a", "a", "b"), ("a", "b", "a"), ("a", "b", "b")):
+            with pytest.raises(ConfigurationError, match="pairwise distinct"):
+                SingularPoint("p", LocalType.ORDINARY_TRIPLE, incident)
+
+    def test_every_way_of_making_a_record_runs_its_checks(self):
+        """The records' constructors are written by hand, so they could drift
+        from the field list: keywords, defaults and `dataclasses.replace` all
+        go through them and their checks, and lists come back as tuples."""
+        for cls in (Component, SingularPoint):
+            assert list(inspect.signature(cls).parameters) == [f.name for f in fields(cls)]
+        assert Component("a") == Component("a", 1, 0, -2, ())
+        component = Component(
+            name="a",
+            multiplicity=2,
+            geometric_genus=0,
+            self_intersection=-1,
+            intrinsic=[IntrinsicType.CUSP],
+        )
+        assert component == Component("a", 2, 0, -1, (IntrinsicType.CUSP,))
+        assert component.intrinsic == (IntrinsicType.CUSP,)
+        point = SingularPoint(name="p", local_type=LocalType.TRANSVERSE, incident=["a", "b"])
+        assert point == SingularPoint("p", LocalType.TRANSVERSE, ("a", "b"))
+        assert point.incident == ("a", "b")
+        assert hash(component) == hash(replace(component))
+        assert hash(point) == hash(replace(point))
+        with pytest.raises(ConfigurationError, match="multiplicity must be >= 1"):
+            replace(component, multiplicity=0)
+        with pytest.raises(ConfigurationError, match="pairwise distinct"):
+            replace(point, incident=("a", "a"))
+        with pytest.raises(ConfigurationError, match="genus-one component"):
+            Component("a", geometric_genus=1, self_intersection=0, intrinsic=[IntrinsicType.NODE])
+        with pytest.raises(ConfigurationError, match="needs 3 incident components, got 2"):
+            SingularPoint(name="p", local_type=LocalType.ORDINARY_TRIPLE, incident=["a", "b"])

@@ -243,6 +243,8 @@ def scaled_catalog_fibers(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(fiber_candidates(constrained=st.just(True)), scaled_catalog_fibers()))
+@example(build(KodairaType("III")))
+@example(build(KodairaType("IV")))
 def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
     """classify(c) is T exactly when c is isomorphic to build(T), and so is
     the type the profile carries; the expected type is found by networkx
