@@ -82,17 +82,24 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _row_texts(rows: list[dict[int, Any]], sep: str, cell: Callable[[Any], str]) -> Iterator[str]:
-    """`sep.join(map(cell, row))` per dense row, sliced from the all-zero row's text."""
+def _row_texts(
+    rows: list[dict[int, Any]], sep: str, cell: Callable[[Any], str], head: str = "", tail: str = ""
+) -> Iterator[str]:
+    """`head + sep.join(map(cell, row)) + tail` per dense row: one join of slices
+    of the all-zero row's text and the entries' texts; `cell` runs once per distinct entry."""
     zero = cell(0)
+    texts = {0: zero}
     blank = sep.join([zero] * len(rows))
     step = len(zero) + len(sep)
     for row in rows:
-        parts, end = [], 0
+        parts, end = [head], 0
         for j in sorted(row):
-            parts += blank[end : j * step], cell(row[j])
+            text = texts.get(row[j])
+            if text is None:
+                text = texts[row[j]] = cell(row[j])
+            parts += blank[end : j * step], text
             end = j * step + len(zero)
-        parts.append(blank[end:])
+        parts += blank[end:], tail
         yield "".join(parts)
 
 
@@ -107,12 +114,14 @@ def _print_json_rows(
     items = ",\n      "
     # the document around a placeholder, split where the rows go
     head, tail = json.dumps(payload | {key: 0}, indent=2, sort_keys=True).split(f'"{key}": 0')
-    print(f'{head}"{key}": [', end="")
-    start = "\n    [\n      "
-    for text in _row_texts(rows, items, cell):
-        print(start + text, end="")
-        start = "\n    ],\n    [\n      "
-    print("\n    ]\n  ]" + tail)
+    write = sys.stdout.write
+    write(f'{head}"{key}": [')
+    comma = ""
+    for text in _row_texts(rows, items, cell, "\n    [\n      ", "\n    ]"):
+        write(comma)
+        write(text)
+        comma = ","
+    write("\n  ]" + tail + "\n")
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -157,9 +166,10 @@ def cmd_show(args: argparse.Namespace) -> int:
         print(f"{label}: {text}")
     print("intersection matrix:")
     # a 0 is one character wide, so the entries of the sparse rows set the width
-    width = max(len(str(e)) for row in matrix for e in row.values())
-    for text in _row_texts(matrix, " ", f"{{:>{width}}}".format):
-        print(f"  [{text}]")
+    width = max(map(len, map(str, {e for row in matrix for e in row.values()})))
+    write = sys.stdout.write
+    for text in _row_texts(matrix, " ", f"{{:>{width}}}".format, "  [", "]\n"):
+        write(text)
     return 0
 
 
@@ -244,8 +254,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         return 0
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     print(" " * width + "".join(f" {name:>{width}}" for name in names))
-    for name, line in zip(names, _row_texts(rows, "", text.__getitem__)):
-        print(f"{name:<{width}}" + line)
+    write = sys.stdout.write
+    for name, line in zip(names, _row_texts(rows, "", text.__getitem__, tail="\n")):
+        write(f"{name:<{width}}")
+        write(line)
     return 0
 
 

@@ -217,8 +217,12 @@ def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     index = {c.name: i for i, c in enumerate(config.components)}
     for p in config.points:
         contribution = p.local_type.pair_contribution
-        for a, b in combinations(p.incident, 2):
+        if len(p.incident) == 2:  # the one pair, without an iterator of pairs
+            a, b = p.incident
             yield index[a], index[b], contribution
+        else:
+            for a, b in combinations(p.incident, 2):
+                yield index[a], index[b], contribution
 
 
 def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:

@@ -144,6 +144,26 @@ MUTANTS = (
         "if False:",
         ("tests/test_curves.py::TestValidation::test_repeated_incident_component_rejected",),
     ),
+    Mutant(
+        "`_pairings` yields only the first pair of a triple point",
+        "src/kodaira/curves.py",
+        "for a, b in combinations(p.incident, 2):",
+        "for a, b in list(combinations(p.incident, 2))[:1]:",
+        (
+            "tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[IV]",
+            "tests/test_curves.py::TestFiberTest::test_radical_is_the_primitive_multiplicity_vector[IV]",
+        ),
+    ),
+    Mutant(
+        "the `_row_texts` memo formats a 1 as a 0",
+        "src/kodaira/cli.py",
+        "texts = {0: zero}",
+        "texts = {0: zero, 1: zero}",
+        (
+            "tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[I(3)]",
+            "tests/test_cli.py::test_row_texts_formats_each_distinct_entry_once",
+        ),
+    ),
 )
 
 

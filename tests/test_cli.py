@@ -523,6 +523,22 @@ def test_show_renders_any_matrix_like_a_per_cell_rendering(config):
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_row_texts_formats_each_distinct_entry_once():
+    """`_row_texts` runs `cell` once per distinct entry, not once per
+    nonzero cell, and each row is the head, the per-cell join and the tail."""
+    config = build(KodairaType("I", 400))
+    rows, entries = _sparse_rows(config), dense_matrix(config)
+    calls = []
+
+    def cell(entry):
+        calls.append(entry)
+        return f"{entry:>2}"
+
+    texts = list(cli._row_texts(rows, ", ", cell, "<", ">\n"))
+    assert sorted(calls) == [-2, 0, 1]
+    assert texts == ["<" + ", ".join(f"{e:>2}" for e in row) + ">\n" for row in entries]
+
+
 class DigestSink:
     """A stdout that keeps only the byte count and a SHA-256 of the text."""
 
@@ -553,10 +569,10 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
     values = set().union(*entries)
     width = max(len(str(e)) for e in values)
 
-    def per_cell(rows, sep, cell):
+    def per_cell(rows, sep, cell, head="", tail=""):
         """`cli._row_texts` as a lookup per cell of the oracle's matrix."""
         text = {e: f"{e:>{width}}" if sep == " " else str(e) for e in values}
-        return (sep.join(map(text.__getitem__, row)) for row in entries)
+        return (head + sep.join(map(text.__getitem__, row)) + tail for row in entries)
 
     with mock.patch.object(cli, "_row_texts", per_cell):
         expected = digest_of(argv)
