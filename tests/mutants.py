@@ -83,6 +83,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "`_fiber_type` drops `mult == 1` on III and IV",
+        "src/kodaira/catalog.py",
+        'if mult == 1:\n            return KodairaType("III"',
+        'if True:\n            return KodairaType("III"',
+        ("tests/test_kodaira_list.py::test_kodaira_list_is_exhaustive",),
+    ),
+    Mutant(
         "`build` memoized per type",
         "src/kodaira/catalog.py",
         "def build(kind: KodairaType) -> CurveConfiguration:",
