@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from typing import Any, Callable, Iterator
 
-from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type
+from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type, subclass_of
 from .curves import _sparse_rows, fiber_obstruction
 from .document import _INTEGER, DocumentError, _parse_int, parse_document
 from .invariants import DsgStatus, InvariantProfile, invariant_profile
@@ -141,7 +141,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     # written a row at a time.
     rows: list[tuple[str, str, str | None, Any]] = [
         ("type", str(kind), "type", str(kind)),
-        ("subclass", p.subclass.value, "subclass", p.subclass.value),
+        ("subclass", subclass_of(kind).value, "subclass", subclass_of(kind).value),
         ("components", str(p.n_components), "components", p.n_components),
         ("multiplicities", f"({', '.join(map(str, mults))})", "multiplicities", mults),
         ("reduced", "yes" if p.reduced else "no", "reduced", p.reduced),

@@ -1,4 +1,4 @@
-"""Derived-equivalence invariants of a fiber-like curve configuration.
+"""Derived-equivalence invariants of a Kodaira curve.
 
 `invariant_profile` is the one route to them: the Euler characteristic and
 arithmetic genus, the free rank of the Grothendieck group of coherent
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .catalog import KodairaType, Subclass, _fiber_type, subclass_of
+from .catalog import KodairaType, _fiber_type
 from .curves import CurveConfiguration, _adjunction_failure, fiber_obstruction
 
 
@@ -56,17 +56,17 @@ class InvariantProfile:
     """The full tuple of invariants preserved by a derived equivalence,
     with the recognized catalog type beside them."""
 
+    # 1 - chi(O_X), and chi = -(D^2 + K.D)/2 = 0 on every fiber D (Riemann-Roch)
+    arithmetic_genus = 1
     n_components: int
-    arithmetic_genus: int
     g0_rank: int
     k_minus_one_rank: int
     picard: PicardDescriptor
     reduced: bool
     smooth: bool
     singular_point_count: int | None  # present exactly when reduced
-    subclass: Subclass | None  # present exactly when the curve classifies
     # uncompared: the type is not a derived invariant, and IStar(4) and IIStar share a profile
-    kind: KodairaType | None = field(compare=False)
+    kind: KodairaType = field(compare=False)
 
     @property
     def dsg_status(self) -> DsgStatus:
@@ -104,16 +104,16 @@ def loop_rank(config: CurveConfiguration) -> int:
 
 
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
-    """Bundle every invariant of a fiber-like configuration, and its type.
+    """Bundle every invariant of a Kodaira curve, and its type.
 
     The fiber test runs once, and the recognizer past it reads the type,
-    which is kept as `kind`, so no reader classifies again. A configuration
-    that fails the test, or adjunction (C^2 = 2 p_a(C) - 2 on every
-    component, see `catalog._fiber_type`), raises ValueError naming the
-    failure. Past both, with D = sum m_i C_i:
+    which is kept as `kind`, so no reader classifies again. Only Kodaira
+    curves have a profile: ValueError names the failed fiber test or
+    adjunction (C^2 = 2 p_a(C) - 2 on every component, see
+    `catalog._fiber_type`), and past both says "not a Kodaira curve: no
+    catalog match" for a curve such as IVStar doubled, whose h^0(O_{2A}),
+    and so Pic, is not determined. On a fiber of N components:
 
-    - chi(O_X) = -D^2/2 = 0 by Riemann-Roch, since K.D = 0 and
-      D^2 = m * (M * m) = 0; so g_a = 1 - chi = 1.
     - The G_0 rank is N + 1, whatever the multiplicities (devissage). It
       counts the free part of G_0 of coherent sheaves modulo Pic^0: with
       rational components G_0 is free on the N components and a point,
@@ -130,6 +130,7 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
         obstruction = obstruction or _adjunction_failure(config)
         if obstruction is not None:
             raise ValueError(f"not fiber-like: {obstruction}")
+        raise ValueError("not a Kodaira curve: no catalog match")
     n = config.n_components
     elliptic = sum(c.geometric_genus for c in config.components)
     torus = loop_rank(config)
@@ -138,13 +139,11 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     count = singular if config.is_reduced() else None
     return InvariantProfile(
         n_components=n,
-        arithmetic_genus=1,
         g0_rank=n + 1,
         k_minus_one_rank=torus,
         picard=PicardDescriptor(1 - torus - elliptic, torus, elliptic, n),
         reduced=count is not None,
         smooth=count == 0,
         singular_point_count=count,
-        subclass=subclass_of(kind) if kind is not None else None,
         kind=kind,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .catalog import KodairaType, Subclass, build
+from .catalog import KodairaType, build
 from .curves import CurveConfiguration
 from .invariants import InvariantProfile, invariant_profile
 
@@ -60,7 +60,8 @@ _NO_CONVERSE_NOTE = "all computed necessary conditions agree; no converse is kno
 # The checks in witness order. A check whose getter returns None on either
 # side is skipped: the singular point count exists only for reduced curves.
 # The profile's recognized type is no check, since it is not an invariant:
-# `_agreeing` reads it only once every row here agrees.
+# `_agreeing` reads it only once every row here agrees. Nor is the subclass:
+# L1 is "reduced", and L2 and L3 differ in K^-1 rank or Picard identity.
 _CHECKS: tuple[tuple[str, Callable[[InvariantProfile], object]], ...] = (
     ("G0 rank", lambda p: p.g0_rank),
     ("K^-1 rank", lambda p: p.k_minus_one_rank),
@@ -68,7 +69,6 @@ _CHECKS: tuple[tuple[str, Callable[[InvariantProfile], object]], ...] = (
     ("Picard discrete rank", lambda p: p.picard.discrete_rank),
     ("isolated singularities", lambda p: "yes" if p.reduced else "no"),
     ("singular point count", lambda p: p.singular_point_count),
-    ("subclass", lambda p: p.subclass.value if p.subclass else "unclassified"),
 )
 
 
@@ -77,9 +77,9 @@ def _row(profile: InvariantProfile) -> tuple:
 
 
 def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> PartnerVerdict:
-    """Verdict for two fibers on which every check agrees, subclass included."""
-    if px.subclass is Subclass.L1:
-        # matching profiles separate the reduced types, so the types agree
+    """Verdict for two fibers on which every check agrees."""
+    if px.reduced:
+        # subclass L1: matching profiles separate the reduced types, so the types agree
         assert px.kind == py.kind, (px.kind, py.kind)
         note = _SMOOTH_ELLIPTIC_NOTE if px.kind == KodairaType("I", 0) else None
         return PartnerVerdict(VerdictKind.ISOMORPHIC, note=note)
@@ -107,7 +107,7 @@ def _classes(types: Sequence[KodairaType]) -> tuple[list[InvariantProfile], list
     Types of two different classes differ in a check both sides define (no
     singular point count means differing "isolated singularities"), so
     their verdict is NotEquivalent. Types of one class agree on every
-    check, the subclass included, so `_agreeing` gives them one kind.
+    check, so `_agreeing` gives them one kind.
     """
     profiles = [invariant_profile(build(t)) for t in types]
     numbers: dict[tuple, int] = {}

@@ -104,11 +104,14 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_5_picard_trichotomy",),
     ),
     Mutant(
-        "the subclass row dropped from the partner checks",
-        "src/kodaira/partner.py",
-        '    ("subclass", lambda p: p.subclass.value if p.subclass else "unclassified"),\n',
+        "`invariant_profile` profiles an uncatalogued configuration",
+        "src/kodaira/invariants.py",
+        '        raise ValueError("not a Kodaira curve: no catalog match")\n',
         "",
-        ("tests/test_partner.py::test_the_subclass_row_alone_separates_ivstar_from_its_double",),
+        (
+            "tests/test_partner.py::test_curves_of_canonical_type_that_are_no_fiber_have_no_profile",
+            "tests/test_properties.py::test_profile_fields_against_oracles",
+        ),
     ),
     Mutant(
         "`_grown` makes point pk with incident (ck, ck)",

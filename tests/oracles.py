@@ -27,9 +27,11 @@ from kodaira import (
     Component,
     CurveConfiguration,
     IntrinsicType,
+    KodairaType,
     LocalType,
     SingularPoint,
     build,
+    catalog_types,
     compare,
     invariant_profile,
     partner,
@@ -275,6 +277,19 @@ def isomorphic_configurations(a: CurveConfiguration, b: CurveConfiguration) -> b
         _incidence_graph(b),
         node_match=lambda x, y: x["record"] == y["record"],
     )
+
+
+def catalog_match(config: CurveConfiguration) -> KodairaType | None:
+    """The catalog type whose `build` is isomorphic to the configuration, or
+    None: a networkx search over the types with as many components."""
+    same_size = [
+        t
+        for t in catalog_types(config.n_components, max(config.multiplicities()))
+        if build(t).n_components == config.n_components
+    ]
+    matches = [t for t in same_size if isomorphic_configurations(config, build(t))]
+    assert len(matches) <= 1, matches
+    return matches[0] if matches else None
 
 
 def relabeled(config: CurveConfiguration, rng: random.Random) -> CurveConfiguration:

@@ -295,6 +295,7 @@ class TestExitCodes:
 # what `kodaira classify` prints, and its exit status, for each example document
 _EXAMPLE_RESULTS = {
     "chain.curve": ("not a Kodaira curve: M*m != 0\n", 2),
+    "double-tacnode.curve": ("not a Kodaira curve: no catalog match\n", 2),
     "istar0.curve": ("IStar(0)\n", 0),
     "nodal.curve": ("I(1)\n", 0),
 }
@@ -725,7 +726,7 @@ def test_module_entry_point_exits_one_on_a_usage_error():
     [
         (REPO / "docs" / "examples" / "istar0.curve").read_text(),
         (REPO / "docs" / "examples" / "chain.curve").read_text(),
-        "[components]\na 2 0 -2\nb 2 0 -2\n[points]\np tacnode a b\n",
+        (REPO / "docs" / "examples" / "double-tacnode.curve").read_text(),
     ],
     ids=["recognized", "not-fiber-like", "fiber-like-uncatalogued"],
 )
@@ -745,7 +746,7 @@ def test_one_fiber_product_per_configuration(capsys, monkeypatch, tmp_path, text
     main(["classify", str(path)])
     assert len(calls) == 1
     calls.clear()
-    with contextlib.suppress(ValueError):  # the chain is not fiber-like
+    with contextlib.suppress(ValueError):  # only the recognized document has a profile
         invariant_profile(parse_document(text))
     assert len(calls) == 1
 

@@ -17,6 +17,7 @@ from kodaira import (
     catalog_types,
     fiber_obstruction,
     invariant_profile,
+    subclass_of,
 )
 from oracles import dense_matrix, integer_kernel, reduce
 
@@ -189,13 +190,13 @@ class TestReduce:
 class TestMultipleFibers:
     # a fiber is multiple (subclass L3) exactly when gcd(m) > 1
     def test_multiple_cycle(self):
-        assert invariant_profile(build(KodairaType("mI", 3, 2))).subclass is Subclass.L3
+        assert subclass_of(invariant_profile(build(KodairaType("mI", 3, 2))).kind) is Subclass.L3
 
     def test_reduced_cycle(self):
-        assert invariant_profile(build(KodairaType("I", 5))).subclass is Subclass.L1
+        assert subclass_of(invariant_profile(build(KodairaType("I", 5))).kind) is Subclass.L1
 
     def test_iistar_is_not_multiple(self):
-        assert invariant_profile(build(KodairaType("IIStar"))).subclass is Subclass.L2
+        assert subclass_of(invariant_profile(build(KodairaType("IIStar"))).kind) is Subclass.L2
 
 
 class TestRadicalAgainstIntegerOracle:

@@ -9,15 +9,17 @@ import kodaira
 from kodaira import (
     Component,
     CurveConfiguration,
+    IntrinsicType,
     KodairaType,
     PartnerVerdict,
-    Subclass,
     VerdictKind,
     Witness,
     build,
     catalog,
     catalog_types,
+    classify,
     compare,
+    fiber_obstruction,
     invariant_profile,
     invariants,
     partner,
@@ -40,7 +42,6 @@ CHECK_VALUES = {
     "Picard discrete rank": lambda p: p.picard.discrete_rank,
     "isolated singularities": lambda p: "yes" if p.reduced else "no",
     "singular point count": lambda p: p.singular_point_count,
-    "subclass": lambda p: p.subclass.value if p.subclass else "unclassified",
 }
 
 
@@ -237,18 +238,30 @@ class TestPartnerMatrix:
         assert cell(mi25, mi35).note != cell(mi25, mi25).note
 
 
-def test_the_subclass_row_alone_separates_ivstar_from_its_double():
-    """IVStar with every multiplicity doubled passes the fiber test and
-    adjunction but is no catalog type. Every other check agrees with
-    IVStar, so the subclass row alone makes the verdict NotEquivalent."""
-    ivstar = build(KodairaType("IVStar"))
-    doubled = CurveConfiguration(
-        tuple(replace(c, multiplicity=2 * c.multiplicity) for c in ivstar.components),
-        ivstar.points,
-    )
-    verdict = compare(ivstar, doubled)
-    assert verdict.kind is VerdictKind.NOT_EQUIVALENT
-    assert verdict.witnesses == (Witness("subclass", "L2", "unclassified"),)
+def test_curves_of_canonical_type_that_are_no_fiber_have_no_profile():
+    """IVStar, III and II with every multiplicity doubled pass the fiber
+    test and adjunction but are no catalog type, so they have no profile
+    and no verdict."""
+    ivstar, iii = build(KodairaType("IVStar")), build(KodairaType("III"))
+    doubled = [
+        CurveConfiguration(
+            tuple(replace(c, multiplicity=2 * c.multiplicity) for c in config.components),
+            config.points,
+        )
+        for config in (ivstar, iii)
+    ]
+    doubled.append(CurveConfiguration((Component("c", 2, 0, 0, (IntrinsicType.CUSP,)),)))
+    for config in doubled:
+        assert fiber_obstruction(config) is None
+        assert classify(config) is None
+        for rejected in (
+            lambda: invariant_profile(config),
+            lambda: compare(ivstar, config),
+            lambda: compare(config, ivstar),
+        ):
+            with pytest.raises(ValueError) as error:
+                rejected()
+            assert str(error.value) == "not a Kodaira curve: no catalog match"
 
 
 def test_one_recognizer_call_per_profile(capsys, monkeypatch):

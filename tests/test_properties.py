@@ -25,12 +25,12 @@ from kodaira.curves import _sparse_rows
 from oracles import (
     PAIR_WEIGHT,
     bipartite_graph,
+    catalog_match,
     cycle_rank_by_spanning_forest,
     dense_matrix,
     dual_graph,
     first_betti,
     integer_kernel,
-    isomorphic_configurations,
     negative_semidefinite_by_minors,
     reduce,
     relabeled,
@@ -257,14 +257,7 @@ def test_recognizer_agrees_with_isomorphism_to_the_catalog(config):
     M*m = 0 and other squares, with transverse points, tacnodes and triple
     points mixed.
     """
-    same_size = [
-        t
-        for t in catalog_types(config.n_components, max(config.multiplicities()))
-        if build(t).n_components == config.n_components
-    ]
-    matches = [t for t in same_size if isomorphic_configurations(config, build(t))]
-    assert len(matches) <= 1
-    expected = matches[0] if matches else None
+    expected = catalog_match(config)
     assert classify(config) == expected
     try:
         profile = invariant_profile(config)
@@ -320,10 +313,13 @@ def adjunction_rejection(config):
 @example(
     two_components(Component("a", 1, 0, -4), Component("b", 2, 0, -1), [LocalType.TRANSVERSE] * 2)
 )
+@example(two_components(Component("a", 2, 0, -2), Component("b", 2, 0, -2), [LocalType.TACNODE]))
+@example(CurveConfiguration((Component("c", 2, 0, 0, (IntrinsicType.CUSP,)),)))
 def test_profile_fields_against_oracles(config):
-    """invariant_profile raises exactly the first of its two rejections that
-    the oracles find, and nothing on any other input: M*m != 0, then a
-    component whose square breaks adjunction. Past both, no intrinsic
+    """invariant_profile raises exactly the first of its three rejections
+    that the oracles find, and nothing on any other input: M*m != 0, then a
+    component whose square breaks adjunction, then no catalog type that
+    networkx finds isomorphic. Past all three, no intrinsic
     singularity or genus-one component lies on a reducible curve, and the
     unipotent dimension is not negative. A profile it returns has the cycle
     rank of Roberts' graph as K^-1 and torus rank; chi = -m.Mm/2, or
@@ -345,6 +341,8 @@ def test_profile_fields_against_oracles(config):
     else:
         chi = -(sum(v * w for v, w in zip(mult, product)) // 2)
     expected_error = _NOT_FIBER_LIKE if any(product) else adjunction_rejection(config)
+    if expected_error is None and catalog_match(config) is None:
+        expected_error = "not a Kodaira curve: no catalog match"
     try:
         profile = invariant_profile(config)
     except ValueError as error:
