@@ -11,10 +11,10 @@ and point record is checked when it is made. Each call makes a
 fresh configuration, but the cycles of three or more curves and the IStar
 types share their records: they slice their (-2)-curves and chain points
 out of one run per multiplicity, grown under a lock to the largest type
-built so far. `classify` maps an arbitrary configuration back to its type
-by its sorted multiplicities, which for a fiber of (-2)-curves are a
-multiple of the null root of its affine diagram; no component order or
-label counts.
+built so far. `_recognize` runs the fiber gates for every caller: the
+fiber test, then `_fiber_type`, which reads the type off the sorted
+multiplicities, for a fiber of (-2)-curves a multiple of the null root of
+its affine diagram; no component order or label counts.
 """
 
 from __future__ import annotations
@@ -259,15 +259,21 @@ def build(kind: KodairaType) -> CurveConfiguration:
 def classify(config: CurveConfiguration) -> KodairaType | None:
     """Recognize a configuration as a catalog type, or return None.
 
-    Only the isomorphism class of the decorated configuration matters. This
-    is the fiber test and then `_fiber_type`; a caller that also reports the
-    test's obstruction runs the two itself, so the M * m product runs once.
+    Only the isomorphism class of the decorated configuration matters.
     """
-    return _fiber_type(config) if fiber_obstruction(config) is None else None
+    return _recognize(config)[0]
+
+
+def _recognize(config: CurveConfiguration) -> tuple[KodairaType | None, str | None]:
+    """The catalog type or None, and the fiber test's obstruction: one M * m
+    product, and `_fiber_type` only past it."""
+    obstruction = fiber_obstruction(config)
+    return (_fiber_type(config) if obstruction is None else None), obstruction
 
 
 def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
-    """The catalog type of a configuration that passes the fiber test, or None.
+    """The catalog type of a configuration that passes the fiber test, or
+    None; only `_recognize` calls it.
 
     Every fiber component satisfies adjunction, C^2 = 2 p_a(C) - 2. With one
     component, M * m = 0 makes C^2 = 0, so p_a = 1: the curve is smooth of

@@ -15,11 +15,11 @@ import sys
 from dataclasses import asdict
 from typing import Any, Callable, Iterator
 
-from .catalog import TypeSpecError, _fiber_type, build, catalog_types, parse_type, subclass_of
-from .curves import _sparse_rows, fiber_obstruction
+from .catalog import TypeSpecError, _recognize, build, catalog_types, parse_type, subclass_of
+from .curves import _sparse_rows
 from .document import _INTEGER, DocumentError, _parse_int, parse_document
-from .invariants import DsgStatus, InvariantProfile, invariant_profile
-from .partner import VerdictKind, _agreeing, _classes, compare
+from .invariants import DsgStatus, invariant_profile
+from .partner import VerdictKind, _verdict_rows, compare
 
 _DSG_TEXT = {
     DsgStatus.TRIVIAL: "trivial (smooth curve)",
@@ -176,9 +176,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     with open(args.path, encoding="utf-8-sig") as handle:
         text = handle.read()
-    config = parse_document(text)
-    obstruction = fiber_obstruction(config)
-    kind = _fiber_type(config) if obstruction is None else None
+    kind, obstruction = _recognize(parse_document(text))
     if kind is not None:
         if args.format == "json":
             print(json.dumps({"recognized": True, "type": str(kind)}, indent=2, sort_keys=True))
@@ -225,23 +223,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    """The verdict kind of every ordered pair of types, read off the profile classes.
-
-    A cell across two classes is NotEquivalent; inside a class it is the
-    kind `_agreeing` gives the class. Each type meets `_agreeing` once,
-    paired with its class's first member, so its check that agreeing
-    reduced types are one type runs for every type. No witness is built:
-    a class's sparse row holds its members' kinds, every row of the class
-    shares it, and `_row_texts` writes the NotEquivalent cells around them.
-    """
+    """The verdict kind of every ordered pair of types: `partner._verdict_rows`
+    gives the sparse rows, and `_row_texts` writes the NotEquivalent cells
+    around their entries."""
     types = catalog_types(args.max_n, args.max_m)
-    profiles, classes = _classes(types)
-    first: dict[int, InvariantProfile] = {}
-    members: dict[int, dict[int, VerdictKind]] = {}
-    for j, (profile, k) in enumerate(zip(profiles, classes)):
-        # the note tells identical configurations apart; the table prints no note
-        members.setdefault(k, {})[j] = _agreeing(first.setdefault(k, profile), profile, False).kind
-    rows = [members[k] for k in classes]
+    rows = _verdict_rows(types)
     names = [str(t) for t in types]
     width = max(len(name) for name in names)
     if args.format == "json":

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .catalog import KodairaType, _fiber_type
-from .curves import CurveConfiguration, _adjunction_failure, fiber_obstruction
+from .catalog import KodairaType, _recognize
+from .curves import CurveConfiguration, _adjunction_failure
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,12 @@ def loop_rank(config: CurveConfiguration) -> int:
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a Kodaira curve, and its type.
 
-    The fiber test runs once, and the recognizer past it reads the type,
-    which is kept as `kind`, so no reader classifies again. Only Kodaira
-    curves have a profile: ValueError names the failed fiber test or
-    adjunction (C^2 = 2 p_a(C) - 2 on every component, see
-    `catalog._fiber_type`), and past both says "not a Kodaira curve: no
-    catalog match" for a curve such as IVStar doubled, whose h^0(O_{2A}),
-    and so Pic, is not determined. On a fiber of N components:
+    `catalog._recognize` reads the type once, kept as `kind`, so no reader
+    classifies again. Only Kodaira curves have a profile: ValueError names
+    the failed fiber test or adjunction (C^2 = 2 p_a(C) - 2 on every
+    component), and past both says "not a Kodaira curve: no catalog match"
+    for a curve such as IVStar doubled, whose h^0(O_{2A}), and so Pic, is
+    not determined. On a fiber of N components:
 
     - The G_0 rank is N + 1, whatever the multiplicities (devissage). It
       counts the free part of G_0 of coherent sheaves modulo Pic^0: with
@@ -124,8 +123,7 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
       h^1(O_X) = 1. It is never negative: the loop rank is at most 1 (one
       node, or the cycle of A~N). The component group is free of rank N.
     """
-    obstruction = fiber_obstruction(config)
-    kind = _fiber_type(config) if obstruction is None else None
+    kind, obstruction = _recognize(config)
     if kind is None:
         obstruction = obstruction or _adjunction_failure(config)
         if obstruction is not None:

@@ -9,9 +9,9 @@ but itself). For non-reduced or multiple fibers no converse is known, so
 agreement only yields "possibly equivalent".
 
 `compare` reads one ordered table of checks off the two profiles. For the
-CLI's `matrix`, `_classes` groups types by their row of check values: two
-types of different classes are NotEquivalent, so the verdict kinds follow
-from the classes without building a witness.
+CLI's `matrix`, `_verdict_rows` groups types into classes by their row of
+check values: two types of different classes are NotEquivalent, so the
+verdict kinds follow from the classes without building a witness.
 """
 
 from __future__ import annotations
@@ -100,15 +100,24 @@ def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     return _agreeing(px, py, x == y)
 
 
-def _classes(types: Sequence[KodairaType]) -> tuple[list[InvariantProfile], list[int]]:
-    """Each type's profile, and its class: the number of its row of check
-    values, in order of first appearance.
+def _verdict_rows(types: Sequence[KodairaType]) -> list[dict[int, VerdictKind]]:
+    """Row i of the verdict kinds of types[i] against each type, as
+    {column: kind}; the cells left out are NotEquivalent.
 
-    Types of two different classes differ in a check both sides define (no
-    singular point count means differing "isolated singularities"), so
-    their verdict is NotEquivalent. Types of one class agree on every
-    check, so `_agreeing` gives them one kind.
+    A class is the types of one row of check values. Types of two classes
+    differ in a check both sides define (no singular point count means
+    differing "isolated singularities"), so their verdict is NotEquivalent.
+    Types of one class agree on every check. Each meets `_agreeing` once,
+    against the class's first profile, the only one kept, so the check that
+    agreeing reduced types are one type runs for every type. The rows of
+    one class are one shared dict.
     """
-    profiles = [invariant_profile(build(t)) for t in types]
-    numbers: dict[tuple, int] = {}
-    return profiles, [numbers.setdefault(_row(p), len(numbers)) for p in profiles]
+    classes: dict[tuple, tuple[InvariantProfile, dict[int, VerdictKind]]] = {}
+    rows = []
+    for j, t in enumerate(types):
+        profile = invariant_profile(build(t))
+        first, row = classes.setdefault(_row(profile), (profile, {}))
+        # the note tells identical configurations apart; the table prints no note
+        row[j] = _agreeing(first, profile, False).kind
+        rows.append(row)
+    return rows

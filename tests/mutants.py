@@ -90,6 +90,20 @@ MUTANTS = (
         ("tests/test_kodaira_list.py::test_kodaira_list_is_exhaustive",),
     ),
     Mutant(
+        "`_recognize` reads the type past a failed fiber test",
+        "src/kodaira/catalog.py",
+        "(_fiber_type(config) if obstruction is None else None)",
+        "_fiber_type(config)",
+        ("tests/test_kodaira_list.py::test_kodaira_list_is_exhaustive",),
+    ),
+    Mutant(
+        "`_verdict_rows` groups types by their first check only",
+        "src/kodaira/partner.py",
+        "classes.setdefault(_row(profile),",
+        "classes.setdefault(_row(profile)[:1],",
+        ("tests/test_cli.py::test_large_matrix_prints_the_partner_matrix_kinds",),
+    ),
+    Mutant(
         "`build` memoized per type",
         "src/kodaira/catalog.py",
         "def build(kind: KodairaType) -> CurveConfiguration:",

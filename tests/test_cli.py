@@ -330,11 +330,8 @@ class TestJsonOutput:
         code, out, err = run_cli(capsys, "classify", "docs/examples/istar0.curve", "--format", "json")
         assert (code, out, err) == (0, '{\n  "recognized": true,\n  "type": "IStar(0)"\n}\n', "")
 
-    def test_classify_json_for_unrecognized_fiber_like_curve(self, capsys, tmp_path):
-        doc = tmp_path / "double_tacnode.curve"
-        doc.write_text(
-            "[components]\na 2 0 -2\nb 2 0 -2\n[points]\np tacnode a b\n"
-        )
+    def test_classify_json_for_unrecognized_fiber_like_curve(self, capsys):
+        doc = REPO / "docs" / "examples" / "double-tacnode.curve"
         code, out, _ = run_cli(capsys, "classify", str(doc), "--format", "json")
         assert code == 2
         payload = json.loads(out)
@@ -380,7 +377,7 @@ def test_large_matrix_prints_the_partner_matrix_kinds(capsys):
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
-    """`matrix` prints verdict kinds only, read off the profile classes:
+    """`matrix` prints verdict kinds only, read off `partner._verdict_rows`:
     no witness, and one `_agreeing` verdict per type instead of a T² grid."""
     made = {Witness: 0, PartnerVerdict: 0}
     for cls in made:

@@ -6,7 +6,9 @@ affine Cartan matrices (Kac, Infinite-Dimensional Lie Algebras, Theorem
 Ven, Compact Complex Surfaces, Section V.7). This test checks `classify`
 against oracles that share no code with it: M*m from `oracles.dense_matrix`,
 the kernel from `oracles.integer_kernel` and the match from
-`oracles.isomorphic_configurations`. The inputs, all connected:
+`oracles.isomorphic_configurations`. It also checks
+`catalog._recognize`, the one pass of the fiber gates, and
+`invariant_profile` against `classify`. The inputs, all connected:
 
 - every connected graph of networkx's atlas (1 to 7 vertices, 996
   graphs), every tree on 8 to 12 vertices (962) and the doubled edge of
@@ -26,8 +28,13 @@ That makes 12,759 configurations. For each, `classify` returns a type
 exactly when M*m = 0 and m is the primitive root of the kernel, or any
 multiple of it on a cycle (a ring of (-2)-curves meeting transversally,
 a nodal rational curve or a smooth genus-one curve: the families I and
-mI), and `build` of that type is isomorphic to the input. The test runs
-in about a second.
+mI), and `build` of that type is isomorphic to the input. `_recognize`
+returns that type with the obstruction "M*m != 0" exactly when M*m is not
+0. `invariant_profile` has that type as its `kind`; with no type it
+raises ValueError, "not fiber-like: ..." when M*m is not 0 or a component
+breaks adjunction (C^2 = 2 (g + intrinsic singularities) - 2), and "not a
+Kodaira curve: no catalog match" otherwise. The test runs in under two
+seconds.
 """
 
 import itertools
@@ -43,7 +50,9 @@ from kodaira import (
     SingularPoint,
     build,
     classify,
+    invariant_profile,
 )
+from kodaira.catalog import _recognize
 from oracles import dense_matrix, integer_kernel, isomorphic_configurations
 
 TRANSVERSE, TACNODE, TRIPLE = LocalType.TRANSVERSE, LocalType.TACNODE, LocalType.ORDINARY_TRIPLE
@@ -75,7 +84,8 @@ def _root(rows) -> list[int] | None:
 
 
 def _disagreements(config: CurveConfiguration, root, cycle: bool) -> list[str]:
-    """What `classify` gets wrong about one configuration, by the rule above."""
+    """What `classify`, `_recognize` or `invariant_profile` gets wrong about
+    one configuration, by the rules above."""
     mults = list(config.multiplicities())
     product = [sum(x * m for x, m in zip(row, mults)) for row in dense_matrix(config)]
     expected = not any(product) and root is not None and (mults == root or cycle)
@@ -84,7 +94,23 @@ def _disagreements(config: CurveConfiguration, root, cycle: bool) -> list[str]:
         return [f"{config}: classify gives {kind}, a type expected: {expected}"]
     if kind is not None and not isomorphic_configurations(build(kind), config):
         return [f"{config}: not isomorphic to build({kind})"]
-    return []
+    obstruction = "M*m != 0" if any(product) else None
+    if _recognize(config) != (kind, obstruction):
+        return [f"{config}: _recognize gives {_recognize(config)}, not {(kind, obstruction)}"]
+    try:
+        profiled = invariant_profile(config).kind
+    except ValueError as error:
+        profiled = str(error)
+    if kind is not None:
+        agrees = profiled == kind
+    elif obstruction or any(
+        c.self_intersection != 2 * (c.geometric_genus + len(c.intrinsic)) - 2
+        for c in config.components
+    ):
+        agrees = isinstance(profiled, str) and profiled.startswith("not fiber-like: ")
+    else:
+        agrees = profiled == "not a Kodaira curve: no catalog match"
+    return [] if agrees else [f"{config}: invariant_profile gives {profiled!r}, classify {kind}"]
 
 
 def _graph_inputs():

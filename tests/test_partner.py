@@ -307,10 +307,12 @@ _II, _III, _IV = KodairaType("II"), KodairaType("III"), KodairaType("IV")
 def test_matrix_cells_are_compare_verdicts_with_the_profiles_witnesses(types):
     """Every `compare` verdict over ordered pairs follows the `CHECK_VALUES`
     witness rule, and it is NotEquivalent exactly across the profile classes
-    that `kodaira matrix` reads its kinds from."""
-    _, classes = partner._classes(types)
-    for a, ca in zip(types, classes):
-        for b, cb in zip(types, classes):
+    that `kodaira matrix` reads its kinds from: the rows of one class are
+    one dict, and each cell of `_verdict_rows` is the verdict's kind."""
+    rows = partner._verdict_rows(types)
+    for i, a in enumerate(types):
+        for j, b in enumerate(types):
             verdict = compare(build(a), build(b))
             assert_check_values_rule(verdict, a, b)
-            assert (verdict.kind is VerdictKind.NOT_EQUIVALENT) == (ca != cb), (a, b)
+            assert (verdict.kind is VerdictKind.NOT_EQUIVALENT) == (rows[i] is not rows[j]), (a, b)
+            assert rows[i].get(j, VerdictKind.NOT_EQUIVALENT) is verdict.kind, (a, b)
