@@ -25,7 +25,6 @@ from .invariants import (
     InvariantProfile,
     PicardDescriptor,
     invariant_profile,
-    loop_rank,
 )
 from .partner import PartnerVerdict, VerdictKind, Witness, compare
 
@@ -52,7 +51,6 @@ __all__ = [
     "compare",
     "fiber_obstruction",
     "invariant_profile",
-    "loop_rank",
     "parse_document",
     "parse_type",
     "serialize_document",

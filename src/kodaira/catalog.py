@@ -11,10 +11,12 @@ and point record is checked when it is made. Each call makes a
 fresh configuration, but the cycles of three or more curves and the IStar
 types share their records: they slice their (-2)-curves and chain points
 out of one run per multiplicity, grown under a lock to the largest type
-built so far. `_recognize` runs the fiber gates for every caller: the
-fiber test, then `_fiber_type`, which reads the type off the sorted
-multiplicities, for a fiber of (-2)-curves a multiple of the null root of
-its affine diagram; no component order or label counts.
+built so far; nothing but `build` reads the runs. `_recognize` runs the
+fiber gates for every caller: the fiber test, then `_fiber_type`, which
+reads the type off the sorted multiplicities, for a fiber of (-2)-curves a
+multiple of the null root of its affine diagram; no component order or
+label counts. A configuration that it names is isomorphic to `build` of
+the type, so a profile is read off the type alone.
 """
 
 from __future__ import annotations

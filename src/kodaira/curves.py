@@ -202,9 +202,6 @@ class CurveConfiguration:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(c.multiplicity for c in self.components)
 
-    def is_reduced(self) -> bool:
-        return all(c.multiplicity == 1 for c in self.components)
-
 
 def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     """(i, j, k): a point adds k to the pairing of distinct components i, j.

@@ -9,8 +9,10 @@ the recognized catalog type beside them. The CLI and the partner checks
 read that record.
 
 The fiber test M * m = 0 is the only product with the intersection matrix
-that a profile makes: every invariant past it is read off the component
-and point records, because the test itself settles the divisor square.
+that a profile makes. Past it, every invariant is read off the recognized
+type: a configuration that the recognizer names is isomorphic to the
+standard configuration of that type (Kodaira's list, which a test checks
+exhaustively up to a stated size), so each invariant is a function of it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .catalog import KodairaType, _recognize
+from .catalog import _STAR_DATA, KodairaType, _recognize
 from .curves import CurveConfiguration, _adjunction_failure
 
 
@@ -62,11 +64,17 @@ class InvariantProfile:
     g0_rank: int
     k_minus_one_rank: int
     picard: PicardDescriptor
-    reduced: bool
-    smooth: bool
-    singular_point_count: int | None  # present exactly when reduced
+    singular_point_count: int | None  # None when non-reduced: singular everywhere
     # uncompared: the type is not a derived invariant, and IStar(4) and IIStar share a profile
     kind: KodairaType = field(compare=False)
+
+    @property
+    def reduced(self) -> bool:
+        return self.singular_point_count is not None
+
+    @property
+    def smooth(self) -> bool:
+        return self.singular_point_count == 0
 
     @property
     def dsg_status(self) -> DsgStatus:
@@ -83,45 +91,15 @@ class InvariantProfile:
         return DsgStatus.UNKNOWN
 
 
-def loop_rank(config: CurveConfiguration) -> int:
-    """Cycle rank of the branch-incidence graph of the reduced curve.
-
-    The branch-incidence graph (Roberts' bipartite graph) has a vertex for
-    every singular point and for every normalized component, with one edge
-    per branch through the point; its cycle rank is the free rank of the
-    first negative K-group. The graph is connected because the
-    configuration is, so its cycle rank is E - V + 1; a point of arity k
-    adds k edges and one vertex, an intrinsic singularity with b branches
-    adds b edges and one vertex. Multiplicities play no part, so
-    non-reduced input needs no reduction.
-    """
-    return (
-        1
-        - config.n_components
-        + sum([p.local_type.arity - 1 for p in config.points])
-        + sum([s.branches - 1 for c in config.components for s in c.intrinsic])
-    )
-
-
 def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
     """Bundle every invariant of a Kodaira curve, and its type.
 
     `catalog._recognize` reads the type once, kept as `kind`, so no reader
-    classifies again. Only Kodaira curves have a profile: ValueError names
-    the failed fiber test or adjunction (C^2 = 2 p_a(C) - 2 on every
-    component), and past both says "not a Kodaira curve: no catalog match"
-    for a curve such as IVStar doubled, whose h^0(O_{2A}), and so Pic, is
-    not determined. On a fiber of N components:
-
-    - The G_0 rank is N + 1, whatever the multiplicities (devissage). It
-      counts the free part of G_0 of coherent sheaves modulo Pic^0: with
-      rational components G_0 is free on the N components and a point,
-      and a genus-one component E has G_0(E) = Z^2 + Pic^0(E).
-    - Pic(X): the elliptic rank is the total geometric genus, the torus
-      rank is the loop rank, which is also the rank of K^-1 (K^i = 0 for
-      i <= -2), and the unipotent dimension is what is left of
-      h^1(O_X) = 1. It is never negative: the loop rank is at most 1 (one
-      node, or the cycle of A~N). The component group is free of rank N.
+    classifies again, and the invariants are read off it. Only Kodaira
+    curves have a profile: ValueError names the failed fiber test or
+    adjunction (C^2 = 2 p_a(C) - 2 on every component), and past both says
+    "not a Kodaira curve: no catalog match" for a curve such as IVStar
+    doubled, whose h^0(O_{2A}), and so Pic, is not determined.
     """
     kind, obstruction = _recognize(config)
     if kind is None:
@@ -129,19 +107,42 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
         if obstruction is not None:
             raise ValueError(f"not fiber-like: {obstruction}")
         raise ValueError("not a Kodaira curve: no catalog match")
-    n = config.n_components
-    elliptic = sum(c.geometric_genus for c in config.components)
-    torus = loop_rank(config)
-    # a non-reduced curve is singular along the whole curve: no isolated points to count
-    singular = len(config.points) + sum(len(c.intrinsic) for c in config.components)
-    count = singular if config.is_reduced() else None
+    return _type_profile(kind)
+
+
+def _type_profile(kind: KodairaType) -> InvariantProfile:
+    """The profile of every configuration of a catalog type. On a fiber of
+    N components:
+
+    - The G_0 rank is N + 1, whatever the multiplicities (devissage): with
+      rational components G_0 modulo Pic^0 is free on the N components and
+      a point, and a genus-one component E has G_0(E) = Z^2 + Pic^0(E).
+    - Pic(X): the elliptic rank is the total geometric genus. The torus
+      rank, also the rank of K^-1 (K^i = 0 for i <= -2), is the cycle rank
+      of Roberts' graph (a vertex per singular point and per normalized
+      component, an edge per branch through a point): 1 on the node of
+      I(1) and mI(m,1) and on the cycle of A~N, else 0. The unipotent
+      dimension is what is left of h^1(O_X) = 1. The component group is
+      free of rank N.
+    - A reduced curve counts its points and intrinsic singularities.
+    """
+    family, n = kind.family, kind.n
+    if family in ("I", "mI"):
+        components = max(n, 1)
+    elif family == "IStar":
+        components = n + 5
+    elif family in _STAR_DATA:
+        components = len(_STAR_DATA[family][0])
+    else:  # one cuspidal curve, two at a tacnode, three at a triple point
+        components = ("II", "III", "IV").index(family) + 1
+    torus = int(family in ("I", "mI") and n >= 1)
+    elliptic = int(family in ("I", "mI") and n == 0)
+    count = n if family == "I" else 1 if family in ("II", "III", "IV") else None
     return InvariantProfile(
-        n_components=n,
-        g0_rank=n + 1,
+        n_components=components,
+        g0_rank=components + 1,
         k_minus_one_rank=torus,
-        picard=PicardDescriptor(1 - torus - elliptic, torus, elliptic, n),
-        reduced=count is not None,
-        smooth=count == 0,
+        picard=PicardDescriptor(1 - torus - elliptic, torus, elliptic, components),
         singular_point_count=count,
         kind=kind,
     )

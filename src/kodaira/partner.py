@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .catalog import KodairaType, build
+from .catalog import KodairaType
 from .curves import CurveConfiguration
-from .invariants import InvariantProfile, invariant_profile
+from .invariants import InvariantProfile, _type_profile, invariant_profile
 
 
 class VerdictKind(str, Enum):
@@ -104,9 +104,10 @@ def _verdict_rows(types: Sequence[KodairaType]) -> list[dict[int, VerdictKind]]:
     """Row i of the verdict kinds of types[i] against each type, as
     {column: kind}; the cells left out are NotEquivalent.
 
-    A class is the types of one row of check values. Types of two classes
-    differ in a check both sides define (no singular point count means
-    differing "isolated singularities"), so their verdict is NotEquivalent.
+    A class is the types of one row of check values, read off each type's
+    profile with no configuration built. Types of two classes differ in a
+    check both sides define (no singular point count means differing
+    "isolated singularities"), so their verdict is NotEquivalent.
     Types of one class agree on every check. Each meets `_agreeing` once,
     against the class's first profile, the only one kept, so the check that
     agreeing reduced types are one type runs for every type. The rows of
@@ -115,7 +116,7 @@ def _verdict_rows(types: Sequence[KodairaType]) -> list[dict[int, VerdictKind]]:
     classes: dict[tuple, tuple[InvariantProfile, dict[int, VerdictKind]]] = {}
     rows = []
     for j, t in enumerate(types):
-        profile = invariant_profile(build(t))
+        profile = _type_profile(t)
         first, row = classes.setdefault(_row(profile), (profile, {}))
         # the note tells identical configurations apart; the table prints no note
         row[j] = _agreeing(first, profile, False).kind

@@ -57,7 +57,6 @@ MUTANTS = (
         '@__import__("functools").cache\ndef invariant_profile(',
         (
             "tests/test_invariants.py::test_no_invariant_keeps_its_configuration_alive",
-            "tests/test_cli.py::test_a_cold_matrix_neither_checks_nor_hashes_a_configuration",
             "tests/test_partner.py::test_one_recognizer_call_per_profile",
         ),
     ),
@@ -145,14 +144,32 @@ MUTANTS = (
         ("tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[III]",),
     ),
     Mutant(
-        "loop rank sums arity in place of arity - 1",
+        "`_type_profile` gives I(0) torus rank 1",
         "src/kodaira/invariants.py",
-        "sum([p.local_type.arity - 1 for p in config.points])",
-        "sum([p.local_type.arity for p in config.points])",
+        'torus = int(family in ("I", "mI") and n >= 1)',
+        'torus = int(family in ("I", "mI") and (n >= 1 or family == "I"))',
         (
             "tests/test_acceptance.py::test_criterion_4_negative_k_groups",
-            "tests/test_graphs.py::TestLoopRank::test_cycles_have_loop_rank_one[3]",
+            "tests/test_graphs.py::TestLoopRank::test_all_other_types_have_no_loops[kind0]",
+            "tests/test_properties.py::test_profile_fields_against_oracles",
         ),
+    ),
+    Mutant(
+        "`_type_profile` gives IStar(N) N + 4 components",
+        "src/kodaira/invariants.py",
+        "components = n + 5",
+        "components = n + 4",
+        (
+            "tests/test_acceptance.py::test_criterion_3_grothendieck_group_ranks",
+            "tests/test_properties.py::test_profile_fields_against_oracles",
+        ),
+    ),
+    Mutant(
+        "`invariant_profile` names no component that breaks adjunction",
+        "src/kodaira/invariants.py",
+        "obstruction = obstruction or _adjunction_failure(config)",
+        "obstruction = obstruction",
+        ("tests/test_kodaira_list.py::test_kodaira_list_is_exhaustive",),
     ),
     Mutant(
         "M*m checked on the first row only",

@@ -20,7 +20,6 @@ from kodaira import (
     compare,
     fiber_obstruction,
     invariant_profile,
-    loop_rank,
     subclass_of,
 )
 from kodaira.cli import main as cli_main
@@ -28,6 +27,7 @@ from oracles import (
     bipartite_graph,
     cycle_rank_by_spanning_forest,
     dense_matrix,
+    first_betti,
     integer_kernel,
     reduce,
     relabeled,
@@ -81,10 +81,9 @@ def test_criterion_4_negative_k_groups():
     for kind in ALL_TYPES:
         config = build(kind)
         expected = 1 if kind.family in ("I", "mI") and kind.n >= 1 else 0
-        assert invariant_profile(config).k_minus_one_rank == expected, kind
         by_forest = cycle_rank_by_spanning_forest(bipartite_graph(reduce(config)))
-        assert loop_rank(config) == by_forest == expected, kind
-    print(f"PASS: negative K-groups (loop rank against spanning-tree oracle, {len(ALL_TYPES)} configurations)")
+        assert invariant_profile(config).k_minus_one_rank == by_forest == expected, kind
+    print(f"PASS: negative K-groups (K^-1 rank against spanning-tree oracle, {len(ALL_TYPES)} configurations)")
 
 
 def test_criterion_5_picard_trichotomy():
@@ -156,10 +155,13 @@ def test_criterion_10_invariance_under_reduction():
         # devissage: G_0(X) = G_0(X_red), free on the N components and a point
         rank = invariant_profile(config).g0_rank
         assert rank == reduced.n_components + 1, kind
+        # the K^-1 rank is the cycle rank of the reduced curve's branch-incidence graph
+        k_minus_one = invariant_profile(config).k_minus_one_rank
+        assert k_minus_one == first_betti(bipartite_graph(reduced)), kind
         if fiber_obstruction(reduced) is None:  # cycles; a reduced star is no fiber
             assert invariant_profile(reduced).g0_rank == rank, kind
-        assert loop_rank(config) == loop_rank(reduced), kind
-    print(f"PASS: devissage consistency (G0 rank and loop rank survive reduction, {len(ALL_TYPES)} configurations)")
+            assert invariant_profile(reduced).k_minus_one_rank == k_minus_one, kind
+    print(f"PASS: devissage consistency (G0 rank and K^-1 rank survive reduction, {len(ALL_TYPES)} configurations)")
 
 
 def test_criterion_11_cli_contract(capsys, monkeypatch):

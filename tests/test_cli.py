@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kodaira
 from kodaira import (
     Component,
     CurveConfiguration,
@@ -29,6 +30,7 @@ from kodaira import (
     invariant_profile,
     invariants,
     parse_document,
+    partner,
     serialize_document,
 )
 from kodaira.cli import _DSG_TEXT, main
@@ -397,11 +399,13 @@ def _clear_caches() -> None:
     catalog._run.cache_clear()
 
 
-def test_a_cold_matrix_slices_its_records_out_of_shared_runs(capsys, monkeypatch):
-    """The cycles and IStar types of `matrix --max-n 40 --max-m 6` share
-    their curves and chain points, one run per multiplicity: 299 component
-    and 666 point records for the 293 types, where one set of records per
-    type made 5,981 and 5,921."""
+def test_a_cold_matrix_makes_no_record_and_calls_neither_build_nor_recognize(
+    capsys, monkeypatch
+):
+    """`matrix` reads each type's profile off the type itself, so a cold
+    `matrix --max-n 40 --max-m 6` makes no component or point record and
+    neither builds nor recognizes a configuration; profiling each built
+    type made 299 and 666 records and called both 293 times."""
     made = {Component: 0, SingularPoint: 0}
     for cls in made:
 
@@ -410,17 +414,31 @@ def test_a_cold_matrix_slices_its_records_out_of_shared_runs(capsys, monkeypatch
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    calls = {"build": 0, "_recognize": 0}
+    for name in calls:
+        function = getattr(catalog, name)
+
+        def counted_call(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        for module in (kodaira, catalog, invariants, partner, cli):
+            if vars(module).get(name) is function:
+                monkeypatch.setattr(module, name, counted_call)
     _clear_caches()
     code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6")
     assert code == 0 and "IIStar" in out
-    assert made == {Component: 299, SingularPoint: 666}, made
+    assert made == {Component: 0, SingularPoint: 0}, made
+    assert calls == {"build": 0, "_recognize": 0}, calls
+    invariant_profile(catalog.build(KodairaType("I", 3)))  # the counters do count
+    assert made == {Component: 3, SingularPoint: 3}, made
+    assert calls == {"build": 1, "_recognize": 1}, calls
 
 
 def test_a_cold_matrix_neither_checks_nor_hashes_a_configuration(capsys, monkeypatch):
-    """`build` returns its configurations unchecked, as valid by
-    construction, and no profile is memoized, so a cold
-    `matrix --max-n 40 --max-m 6` re-checks and hashes none of its 293
-    configurations; checked builds and a profile cache did each 293 times."""
+    """`matrix` profiles types, not configurations, so a cold
+    `matrix --max-n 40 --max-m 6` re-checks and hashes none; checked builds
+    and a profile cache did each 293 times."""
     calls = {"__post_init__": 0, "__hash__": 0}
     for name in calls:
 
@@ -605,9 +623,9 @@ def test_matrix_writes_its_rows_in_small_memory():
 
 def test_a_cold_matrix_builds_its_types_in_small_memory():
     """With every cache cleared, the 853 types of `matrix --max-n 120
-    --max-m 6` slice their records out of one run per multiplicity: the
-    cold run peaks at about 2.3 MiB, where one set of records per type
-    peaked at 19.8 MiB."""
+    --max-m 6` are profiled without a record: the cold run peaks at about
+    0.4 MiB, where building each type out of one run per multiplicity
+    peaked at 0.7 MiB, and one set of records per type at 19.8 MiB."""
     _clear_caches()
     tracemalloc.start()
     try:
@@ -626,19 +644,19 @@ def test_a_cold_matrix_builds_its_types_in_small_memory():
 )
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
-    """D_sg is read off the profile's smooth flag and K^-1 rank, so `show`
-    runs `loop_rank` once."""
-    loop_rank = invariants.loop_rank
+    """D_sg is read off the profile's smooth flag and K^-1 rank, the loop
+    rank, so `show` reads the profile off its type once."""
+    type_profile = invariants._type_profile
     calls = []
 
-    def counted(config):
-        calls.append(config)
-        return loop_rank(config)
+    def counted(kind):
+        calls.append(kind)
+        return type_profile(kind)
 
-    monkeypatch.setattr(invariants, "loop_rank", counted)
+    monkeypatch.setattr(invariants, "_type_profile", counted)
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [kind]
     status = invariant_profile(build(kind)).dsg_status
     if fmt == "json":
         assert json.loads(out)["dsg_status"] == status.value

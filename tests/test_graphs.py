@@ -1,12 +1,12 @@
-"""The dual and branch-incidence graphs of the catalog, and the closed-form
-loop rank checked against them."""
+"""The dual and branch-incidence graphs of the catalog, and the profile's
+K^-1 rank, the loop rank read off the type, checked against them."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kodaira import KodairaType, build, catalog_types, loop_rank
+from kodaira import KodairaType, build, catalog_types, classify, invariant_profile
 from oracles import (
     bipartite_graph,
     cycle_rank_by_spanning_forest,
@@ -126,15 +126,26 @@ def test_first_betti_matches_spanning_forest_oracle(graph):
     assert first_betti(graph) == cycle_rank_by_spanning_forest(graph)
 
 
+def _loop_rank(kind):
+    """The profile's K^-1 rank, and the cycle rank of the reduced curve's
+    branch-incidence graph by both oracles."""
+    graph = bipartite_graph(reduce(build(kind)))
+    return (
+        invariant_profile(build(kind)).k_minus_one_rank,
+        first_betti(graph),
+        cycle_rank_by_spanning_forest(graph),
+    )
+
+
 class TestLoopRank:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cycles_have_loop_rank_one(self, n):
-        assert loop_rank(build(KodairaType("I", n))) == 1
+        assert _loop_rank(KodairaType("I", n)) == (1, 1, 1)
 
     @pytest.mark.parametrize("m", range(2, 5))
     @pytest.mark.parametrize("n", range(1, 6))
     def test_multiple_cycles_have_loop_rank_one(self, m, n):
-        assert loop_rank(build(KodairaType("mI", n, m))) == 1
+        assert _loop_rank(KodairaType("mI", n, m)) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "kind",
@@ -144,12 +155,17 @@ class TestLoopRank:
         + [KodairaType("mI", 0, m) for m in range(2, 5)],
     )
     def test_all_other_types_have_no_loops(self, kind):
-        assert loop_rank(build(kind)) == 0
+        assert _loop_rank(kind) == (0, 0, 0)
 
     @pytest.mark.parametrize("kind", catalog_types(8, 3))
     def test_invariant_under_reduction(self, kind):
-        config = build(kind)
-        assert loop_rank(config) == loop_rank(reduce(config))
+        """The cycle rank of the reduced curve, and its own K^-1 rank where
+        the reduced curve is a fiber (the cycles; a reduced star is none)."""
+        rank, by_betti, _ = _loop_rank(kind)
+        assert rank == by_betti
+        reduced = reduce(build(kind))
+        if classify(reduced) is not None:
+            assert invariant_profile(reduced).k_minus_one_rank == rank
 
 
 class TestOdaSeshadriCount:

@@ -20,7 +20,6 @@ from kodaira import (
     compare,
     fiber_obstruction,
     invariant_profile,
-    loop_rank,
     parse_document,
     serialize_document,
     subclass_of,
@@ -358,7 +357,7 @@ def test_no_invariant_keeps_its_configuration_alive():
     """Only the runs that `build` slices memoize, so a parsed configuration
     is freed once its caller lets go of it, profiled and compared or not."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
-    for function in (classify, fiber_obstruction, loop_rank, invariant_profile):
+    for function in (classify, fiber_obstruction, invariant_profile):
         function(config)
     compare(config, build(KodairaType("IIStar")))
     compare(config, config)

@@ -22,19 +22,24 @@ the kernel from `oracles.integer_kernel` and the match from
   triple point: 399 point sets, each at every multiplicity vector in
   {1, 2, 3}^n;
 - one rational curve with a node or a cusp, or one smooth curve of genus
-  one, of square -2, 0 or 2, at multiplicities 1 to 4.
+  one, of square -2, 0 or 2, at multiplicities 1 to 4;
+- configurations with M*m = 0 that break adjunction: a ring of 2 to 6
+  curves of square -2 meeting transversally, one of them nodal, cuspidal
+  or of genus one, at multiplicities k, ..., k for k = 1, 2, 3, and a
+  rational curve of square -4 and multiplicity 1 meeting one of square -1
+  and multiplicity 2 at two transverse points: 46 configurations.
 
-That makes 12,759 configurations. For each, `classify` returns a type
-exactly when M*m = 0 and m is the primitive root of the kernel, or any
-multiple of it on a cycle (a ring of (-2)-curves meeting transversally,
-a nodal rational curve or a smooth genus-one curve: the families I and
-mI), and `build` of that type is isomorphic to the input. `_recognize`
+That makes 12,805 configurations. For each, `classify` returns a type
+exactly when M*m = 0, every component satisfies adjunction (C^2 =
+2 (g + intrinsic singularities) - 2) and m is the primitive root of the
+kernel, or any multiple of it on a cycle (a ring of (-2)-curves meeting
+transversally, a nodal rational curve or a smooth genus-one curve: the
+families I and mI), and `build` of that type is isomorphic to the input. `_recognize`
 returns that type with the obstruction "M*m != 0" exactly when M*m is not
 0. `invariant_profile` has that type as its `kind`; with no type it
 raises ValueError, "not fiber-like: ..." when M*m is not 0 or a component
-breaks adjunction (C^2 = 2 (g + intrinsic singularities) - 2), and "not a
-Kodaira curve: no catalog match" otherwise. The test runs in under two
-seconds.
+breaks adjunction, and "not a Kodaira curve: no catalog match" otherwise.
+The test runs in under two seconds.
 """
 
 import itertools
@@ -88,7 +93,11 @@ def _disagreements(config: CurveConfiguration, root, cycle: bool) -> list[str]:
     one configuration, by the rules above."""
     mults = list(config.multiplicities())
     product = [sum(x * m for x, m in zip(row, mults)) for row in dense_matrix(config)]
-    expected = not any(product) and root is not None and (mults == root or cycle)
+    adjunction = all(
+        c.self_intersection == 2 * (c.geometric_genus + len(c.intrinsic)) - 2
+        for c in config.components
+    )
+    expected = not any(product) and adjunction and root is not None and (mults == root or cycle)
     kind = classify(config)
     if (kind is not None) != expected:
         return [f"{config}: classify gives {kind}, a type expected: {expected}"]
@@ -103,11 +112,10 @@ def _disagreements(config: CurveConfiguration, root, cycle: bool) -> list[str]:
         profiled = str(error)
     if kind is not None:
         agrees = profiled == kind
-    elif obstruction or any(
-        c.self_intersection != 2 * (c.geometric_genus + len(c.intrinsic)) - 2
-        for c in config.components
-    ):
-        agrees = isinstance(profiled, str) and profiled.startswith("not fiber-like: ")
+    elif obstruction:
+        agrees = profiled == "not fiber-like: M*m != 0"
+    elif not adjunction:
+        agrees = isinstance(profiled, str) and profiled.startswith("not fiber-like: component ")
     else:
         agrees = profiled == "not a Kodaira curve: no catalog match"
     return [] if agrees else [f"{config}: invariant_profile gives {profiled!r}, classify {kind}"]
@@ -144,6 +152,23 @@ def _tacnode_and_triple_point_sets():
             yield points, 3
 
 
+def _adjunction_breaking():
+    """Configurations with M*m = 0 and a component that breaks adjunction."""
+    decorations = ((0, (IntrinsicType.NODE,)), (0, (IntrinsicType.CUSP,)), (1, ()))
+    for n in range(2, 7):
+        points = [(TRANSVERSE, (i, (i + 1) % n)) for i in range(n)]
+        for genus, intrinsic in decorations:
+            for k in (1, 2, 3):
+                config = _curves([k] * n, points)
+                odd = Component("c0", k, genus, -2, intrinsic)
+                yield CurveConfiguration((odd, *config.components[1:]), config.points)
+    curves = (Component("a", 1, 0, -4), Component("b", 2, 0, -1))
+    yield CurveConfiguration(
+        curves,
+        (SingularPoint("p", TRANSVERSE, ("a", "b")), SingularPoint("q", TRANSVERSE, ("a", "b"))),
+    )
+
+
 def test_kodaira_list_is_exhaustive():
     failures = []
     sizes = {"graphs": 0, "point sets": 0, "configurations": 0}
@@ -168,5 +193,10 @@ def test_kodaira_list_is_exhaustive():
                 root = _root(dense_matrix(config))
                 failures += _disagreements(config, root, intrinsic != (IntrinsicType.CUSP,))
                 sizes["configurations"] += 1
+    for config in _adjunction_breaking():
+        mults = config.multiplicities()
+        assert not any(sum(x * m for x, m in zip(row, mults)) for row in dense_matrix(config))
+        failures += _disagreements(config, _root(dense_matrix(config)), False)
+        sizes["configurations"] += 1
     assert failures == []
-    assert sizes == {"graphs": 1959, "point sets": 399, "configurations": 12759}
+    assert sizes == {"graphs": 1959, "point sets": 399, "configurations": 12805}

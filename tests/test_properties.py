@@ -19,7 +19,6 @@ from kodaira import (
     classify,
     fiber_obstruction,
     invariant_profile,
-    loop_rank,
 )
 from kodaira.curves import _sparse_rows
 from oracles import (
@@ -96,20 +95,6 @@ def test_reduce_is_idempotent_and_primitive(config):
     assert math.gcd(*once.multiplicities()) == 1
     assert once.points == config.points
     assert [c.name for c in once.components] == [c.name for c in config.components]
-
-
-@settings(max_examples=60, deadline=None)
-@given(configurations())
-def test_loop_rank_ignores_multiplicities(config):
-    assert loop_rank(config) == loop_rank(reduce(config))
-
-
-@settings(max_examples=100, deadline=None)
-@given(configurations())
-def test_loop_rank_is_the_cycle_rank_of_roberts_graph(config):
-    """The closed-form count equals the cycle rank of the explicit graph."""
-    graph = bipartite_graph(reduce(config))
-    assert loop_rank(config) == first_betti(graph) == cycle_rank_by_spanning_forest(graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,6 +300,7 @@ def adjunction_rejection(config):
 )
 @example(two_components(Component("a", 2, 0, -2), Component("b", 2, 0, -2), [LocalType.TACNODE]))
 @example(CurveConfiguration((Component("c", 2, 0, 0, (IntrinsicType.CUSP,)),)))
+@example(build(KodairaType("IStar", 1)))
 def test_profile_fields_against_oracles(config):
     """invariant_profile raises exactly the first of its three rejections
     that the oracles find, and nothing on any other input: M*m != 0, then a
