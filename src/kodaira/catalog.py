@@ -4,19 +4,19 @@ Every possible fiber of a smooth elliptic surface is covered: the cycles
 I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
-E~7, E~6. Builders produce explicit configurations, valid by construction,
-so `build` returns them without re-checking names, references or
-connectivity, and a test re-validates every type it builds; each component
-and point record is checked when it is made. Each call makes a
-fresh configuration, but the cycles of three or more curves and the IStar
-types share their records: they slice their (-2)-curves and chain points
-out of one run per multiplicity, grown under a lock to the largest type
-built so far; nothing but `build` reads the runs. `_recognize` runs the
-fiber gates for every caller: the fiber test, then `_fiber_type`, which
-reads the type off the sorted multiplicities, for a fiber of (-2)-curves a
-multiple of the null root of its affine diagram; no component order or
-label counts. A configuration that it names is isomorphic to `build` of
-the type, so a profile is read off the type alone.
+E~7, E~6. `build` makes explicit configurations through the checked
+constructors, records and configuration alike. Each call makes a fresh
+configuration, but the cycles of three or more curves and the IStar types
+share their records: they slice their (-2)-curves and chain points out of
+one run per multiplicity, grown under a lock to the largest type built so
+far; nothing but `build` reads the runs, and the CLI builds only for the
+multiplicities and intersection matrix that `show` prints. `_recognize`
+runs the fiber gates for every caller: the fiber test, then `_fiber_type`,
+which reads the type off the sorted multiplicities, for a fiber of
+(-2)-curves a multiple of the null root of its affine diagram; no
+component order or label counts. A configuration that it names is
+isomorphic to `build` of the type, so a profile is read off the type
+alone.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 
 def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, ...]) -> CurveConfiguration:
     component = Component("c1", multiplicity, genus, 0, intrinsic)
-    return CurveConfiguration._trusted((component,))
+    return CurveConfiguration((component,))
 
 
 def _from_incidences(
@@ -176,7 +176,7 @@ def _from_incidences(
         SingularPoint(f"p{k + 1}", local, [names[i - 1] for i in incident])
         for k, incident in enumerate(incidences)
     )
-    return CurveConfiguration._trusted(components, points)
+    return CurveConfiguration(components, points)
 
 
 @functools.cache
@@ -218,7 +218,8 @@ def _grown(multiplicity: int, n: int) -> tuple[list[Component], list[SingularPoi
 
 
 def build(kind: KodairaType) -> CurveConfiguration:
-    """The standard configuration of a catalog type, made fresh on every call.
+    """The standard configuration of a catalog type, made fresh on every call
+    and checked like any other.
 
     Cycles of N >= 3 curves and the IStar types share the curves and the
     chain points that they slice out of the runs.
@@ -237,7 +238,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
         closing = SingularPoint(
             f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name)
         )
-        return CurveConfiguration._trusted(tuple(curves[:n]), (*links[: n - 1], closing))
+        return CurveConfiguration(tuple(curves[:n]), (*links[: n - 1], closing))
     if family == "II":
         return _irreducible(1, 0, (IntrinsicType.CUSP,))
     if family == "III":
@@ -254,7 +255,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
             SingularPoint(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
             for k, leaf, hub in zip(range(1, 5), leaves, (near, near, far, far))
         ]
-        return CurveConfiguration._trusted((*leaves, *middle), (*ends, *links[4 : n + 4]))
+        return CurveConfiguration((*leaves, *middle), (*ends, *links[4 : n + 4]))
     return _from_incidences(*_STAR_DATA[family])
 
 

@@ -18,8 +18,8 @@ from typing import Any, Callable, Iterator
 from .catalog import TypeSpecError, _recognize, build, catalog_types, parse_type, subclass_of
 from .curves import _sparse_rows
 from .document import _INTEGER, DocumentError, _parse_int, parse_document
-from .invariants import DsgStatus, invariant_profile
-from .partner import VerdictKind, _verdict_rows, compare
+from .invariants import DsgStatus, _type_profile
+from .partner import VerdictKind, _verdict, _verdict_rows
 
 _DSG_TEXT = {
     DsgStatus.TRIVIAL: "trivial (smooth curve)",
@@ -126,8 +126,8 @@ def _print_json_rows(
 
 def cmd_show(args: argparse.Namespace) -> int:
     kind = parse_type(args.type)
-    config = build(kind)
-    p = invariant_profile(config)
+    config = build(kind)  # for its multiplicities and intersection matrix alone
+    p = _type_profile(kind)
     chi, count, status = 1 - p.arithmetic_genus, p.singular_point_count, p.dsg_status
     if p.smooth:
         locus = "empty (smooth curve)"
@@ -201,7 +201,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     kind_a = parse_type(args.left)
     kind_b = parse_type(args.right)
-    verdict = compare(build(kind_a), build(kind_b))
+    verdict = _verdict(_type_profile(kind_a), _type_profile(kind_b), kind_a == kind_b)
     if args.format == "json":
         payload = {
             "left": str(kind_a),

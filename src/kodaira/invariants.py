@@ -1,12 +1,13 @@
 """Derived-equivalence invariants of a Kodaira curve.
 
-`invariant_profile` is the one route to them: the Euler characteristic and
-arithmetic genus, the free rank of the Grothendieck group of coherent
-sheaves, the negative K-groups, the group-scheme shape of the Picard
-scheme, the isolated-singularity data and the idempotent-completeness
-status of the singularity category, all in exact integer arithmetic, with
-the recognized catalog type beside them. The CLI and the partner checks
-read that record.
+`invariant_profile` bundles them for a configuration: the Euler
+characteristic and arithmetic genus, the free rank of the Grothendieck
+group of coherent sheaves, the negative K-groups, the group-scheme shape
+of the Picard scheme, the isolated-singularity data and the
+idempotent-completeness status of the singularity category, all in exact
+integer arithmetic, with the recognized catalog type beside them. The
+partner checks read that record; the CLI's `show` and `compare` take it
+from `_type_profile` of the parsed type, with no configuration recognized.
 
 The fiber test M * m = 0 is the only product with the intersection matrix
 that a profile makes. Past it, every invariant is read off the recognized

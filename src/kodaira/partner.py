@@ -8,10 +8,12 @@ coincide and the curves are isomorphic (a reduced fiber has no partner
 but itself). For non-reduced or multiple fibers no converse is known, so
 agreement only yields "possibly equivalent".
 
-`compare` reads one ordered table of checks off the two profiles. For the
-CLI's `matrix`, `_verdict_rows` groups types into classes by their row of
-check values: two types of different classes are NotEquivalent, so the
-verdict kinds follow from the classes without building a witness.
+`_verdict` reads one ordered table of checks off two profiles: `compare`
+profiles two configurations, and the CLI's `compare` reads the profiles
+off the two types. For `matrix`, `_verdict_rows` groups types into classes
+by their row of check values: two types of different classes are
+NotEquivalent, so the verdict kinds follow from the classes without
+building a witness.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> Pa
 
 def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     """Compare every invariant, in a fixed order, and issue a verdict."""
-    px, py = invariant_profile(x), invariant_profile(y)
+    return _verdict(invariant_profile(x), invariant_profile(y), x == y)
+
+
+def _verdict(px: InvariantProfile, py: InvariantProfile, identical: bool) -> PartnerVerdict:
+    """The verdict on two profiles; `identical` says the two curves are one."""
     witnesses = tuple(
         Witness(name, str(a), str(b))
         for (name, _), a, b in zip(_CHECKS, _row(px), _row(py))
@@ -97,7 +103,7 @@ def compare(x: CurveConfiguration, y: CurveConfiguration) -> PartnerVerdict:
     )
     if witnesses:
         return PartnerVerdict(VerdictKind.NOT_EQUIVALENT, witnesses)
-    return _agreeing(px, py, x == y)
+    return _agreeing(px, py, identical)
 
 
 def _verdict_rows(types: Sequence[KodairaType]) -> list[dict[int, VerdictKind]]:

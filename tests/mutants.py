@@ -205,6 +205,52 @@ MUTANTS = (
             "tests/test_cli.py::test_row_texts_formats_each_distinct_entry_once",
         ),
     ),
+    Mutant(
+        "`cmd_compare` never finds the two sides identical",
+        "src/kodaira/cli.py",
+        "_type_profile(kind_b), kind_a == kind_b)",
+        "_type_profile(kind_b), False)",
+        (
+            "tests/test_cli.py"
+            "::test_comparing_a_type_with_itself_notes_that_the_configurations_are_identical",
+        ),
+    ),
+    Mutant(
+        "`cmd_compare` builds and profiles both configurations",
+        "src/kodaira/cli.py",
+        "verdict = _verdict(_type_profile(kind_a), _type_profile(kind_b), kind_a == kind_b)",
+        'verdict = __import__("kodaira.partner").partner.compare(build(kind_a), build(kind_b))',
+        (
+            "tests/test_cli.py::test_a_cold_compare_makes_no_record_and_calls_neither_build"
+            "_nor_recognize[I(100000)-II-NotEquivalent]",
+            "tests/test_cli.py::test_a_cold_compare_makes_no_record_and_calls_neither_build"
+            "_nor_recognize[IStar(4)-IStar(4)-PossiblyEquivalent]",
+        ),
+    ),
+    Mutant(
+        "`cmd_show` profiles the configuration that it builds",
+        "src/kodaira/cli.py",
+        "p = _type_profile(kind)",
+        'p = __import__("kodaira.invariants").invariants.invariant_profile(config)',
+        ("tests/test_cli.py::test_show_computes_the_loop_rank_once[table-II]",),
+    ),
+    Mutant(
+        "`_class_count` takes a link inside the class rooted at 0 for a join",
+        "src/kodaira/curves.py",
+        "        if a != b:\n",
+        "        if a != b or a == 0:\n",
+        (
+            "tests/test_properties.py"
+            "::test_the_constructor_rejects_exactly_the_disconnected_configurations",
+        ),
+    ),
+    Mutant(
+        "`main` lets a MemoryError through",
+        "src/kodaira/cli.py",
+        "except MemoryError:",
+        "except ZeroDivisionError:",
+        ("tests/test_cli.py::test_running_out_of_memory_exits_one_with_an_error_line",),
+    ),
 )
 
 

@@ -189,9 +189,9 @@ class TestBuild:
             sys.setswitchinterval(interval)
 
     def test_the_checked_constructor_accepts_every_built_configuration(self):
-        """`build` returns its configurations unchecked, as valid by
-        construction; the public constructor re-checks names, references and
-        connectivity, and gives back an equal configuration for each."""
+        """`build` makes its configurations through the checked constructor,
+        which checks names, references and connectivity; made again from its
+        own records, each gives back an equal configuration."""
         for kind in _REVALIDATED:
             config = build(kind)
             assert CurveConfiguration(config.components, config.points) == config, kind

@@ -399,13 +399,9 @@ def _clear_caches() -> None:
     catalog._run.cache_clear()
 
 
-def test_a_cold_matrix_makes_no_record_and_calls_neither_build_nor_recognize(
-    capsys, monkeypatch
-):
-    """`matrix` reads each type's profile off the type itself, so a cold
-    `matrix --max-n 40 --max-m 6` makes no component or point record and
-    neither builds nor recognizes a configuration; profiling each built
-    type made 299 and 666 records and called both 293 times."""
+def _count_records_and_calls(monkeypatch) -> tuple[dict, dict]:
+    """Counters of the `Component` and `SingularPoint` records made and of
+    the calls of `build` and `_recognize` through every module's binding."""
     made = {Component: 0, SingularPoint: 0}
     for cls in made:
 
@@ -425,6 +421,17 @@ def test_a_cold_matrix_makes_no_record_and_calls_neither_build_nor_recognize(
         for module in (kodaira, catalog, invariants, partner, cli):
             if vars(module).get(name) is function:
                 monkeypatch.setattr(module, name, counted_call)
+    return made, calls
+
+
+def test_a_cold_matrix_makes_no_record_and_calls_neither_build_nor_recognize(
+    capsys, monkeypatch
+):
+    """`matrix` reads each type's profile off the type itself, so a cold
+    `matrix --max-n 40 --max-m 6` makes no component or point record and
+    neither builds nor recognizes a configuration; profiling each built
+    type made 299 and 666 records and called both 293 times."""
+    made, calls = _count_records_and_calls(monkeypatch)
     _clear_caches()
     code, out, _ = run_cli(capsys, "matrix", "--max-n", "40", "--max-m", "6")
     assert code == 0 and "IIStar" in out
@@ -433,6 +440,27 @@ def test_a_cold_matrix_makes_no_record_and_calls_neither_build_nor_recognize(
     invariant_profile(catalog.build(KodairaType("I", 3)))  # the counters do count
     assert made == {Component: 3, SingularPoint: 3}, made
     assert calls == {"build": 1, "_recognize": 1}, calls
+
+
+@pytest.mark.parametrize(
+    "left, right, verdict",
+    [("I(100000)", "II", "NotEquivalent"), ("IStar(4)", "IStar(4)", "PossiblyEquivalent")],
+)
+def test_a_cold_compare_makes_no_record_and_calls_neither_build_nor_recognize(
+    capsys, monkeypatch, left, right, verdict
+):
+    """`compare` reads both profiles off the parsed types, so a cold
+    `compare "I(100000)" II` makes no component or point record; building
+    and profiling both configurations made 100,001 and 100,000."""
+    made, calls = _count_records_and_calls(monkeypatch)
+    _clear_caches()
+    code, out, _ = run_cli(capsys, "compare", left, right)
+    assert code == 0 and out.splitlines()[2] == f"verdict: {verdict}"
+    assert made == {Component: 0, SingularPoint: 0}, made
+    assert calls == {"build": 0, "_recognize": 0}, calls
+    partner.compare(catalog.build(KodairaType("I", 3)), catalog.build(KodairaType("II")))
+    assert made == {Component: 4, SingularPoint: 3}, made  # the counters do count
+    assert calls == {"build": 2, "_recognize": 2}, calls
 
 
 def test_a_cold_matrix_neither_checks_nor_hashes_a_configuration(capsys, monkeypatch):
@@ -645,18 +673,21 @@ def test_a_cold_matrix_builds_its_types_in_small_memory():
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
     """D_sg is read off the profile's smooth flag and K^-1 rank, the loop
-    rank, so `show` reads the profile off its type once."""
-    type_profile = invariants._type_profile
-    calls = []
+    rank, so `show` reads the profile off its type once and recognizes
+    nothing; it builds the type only for the intersection matrix."""
+    type_profile = cli._type_profile
+    profiled = []
 
     def counted(kind):
-        calls.append(kind)
+        profiled.append(kind)
         return type_profile(kind)
 
-    monkeypatch.setattr(invariants, "_type_profile", counted)
+    monkeypatch.setattr(cli, "_type_profile", counted)
+    _, calls = _count_records_and_calls(monkeypatch)
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
     assert code == 0
-    assert calls == [kind]
+    assert profiled == [kind]
+    assert calls == {"build": 1, "_recognize": 0}, calls
     status = invariant_profile(build(kind)).dsg_status
     if fmt == "json":
         assert json.loads(out)["dsg_status"] == status.value
@@ -674,6 +705,16 @@ class TestStability:
         code, out, _ = run_cli(capsys, "show", "I₀*")
         assert code == 0
         assert out.startswith("type: IStar(0)\n")
+
+
+def test_comparing_a_type_with_itself_notes_that_the_configurations_are_identical(capsys):
+    """`I0*` is an alias of IStar(0), so the two sides are one configuration."""
+    code, out, _ = run_cli(capsys, "compare", "IStar(0)", "I0*")
+    assert code == 0
+    assert out == (
+        "left: IStar(0)\nright: IStar(0)\nverdict: PossiblyEquivalent\n"
+        "note: the two configurations are identical\n"
+    )
 
 
 def test_module_entry_point_runs_in_a_subprocess():
@@ -705,10 +746,10 @@ def test_a_closed_stdout_exits_one_without_a_message():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
 def test_running_out_of_memory_exits_one_with_an_error_line():
-    """`compare "I(1000000)" II` peaks at about 460 MiB, so I(2000000)
-    needs about twice the 512 MiB address-space cap set in the child
-    alone; `main` reports the MemoryError in one line instead of a
-    traceback."""
+    """`show "I(1000000)"` holds about 710 MiB of records and sparse matrix
+    rows before it prints a matrix row, so I(2000000) runs past the 512 MiB
+    address-space cap set in the child alone, in 6-9 s on 2 vCPUs; `main`
+    reports the MemoryError in one line instead of a traceback."""
     import resource
 
     def cap():
@@ -717,7 +758,7 @@ def test_running_out_of_memory_exits_one_with_an_error_line():
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
     result = subprocess.run(
-        [sys.executable, "-m", "kodaira", "compare", "I(2000000)", "II"],
+        [sys.executable, "-m", "kodaira", "show", "I(2000000)"],
         capture_output=True,
         text=True,
         cwd=REPO,

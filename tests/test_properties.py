@@ -1,14 +1,18 @@
 """Property tests over randomized configurations, not just catalog members."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
 
+import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kodaira import (
     Component,
+    ConfigurationError,
     CurveConfiguration,
     IntrinsicType,
     KodairaType,
@@ -354,3 +358,40 @@ def test_profile_fields_against_oracles(config):
     else:
         assert genera == [1]
         assert profile.g0_rank == 2
+
+
+@st.composite
+def incidence_shapes(draw):
+    """A component count n and a list of points, each two or three distinct
+    component indices below n."""
+    n = draw(st.integers(1, 7))
+    arities = [k for k in (2, 3) if k <= n]
+    count = draw(st.integers(0, 8)) if arities else 0
+    points = [
+        draw(st.permutations(range(n)))[: draw(st.sampled_from(arities))] for _ in range(count)
+    ]
+    return n, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_shapes())
+def test_the_constructor_rejects_exactly_the_disconnected_configurations(shape):
+    """The union-find of `CurveConfiguration` against networkx's connectivity."""
+    n, incidences = shape
+    components = tuple(Component(f"c{i}") for i in range(n))
+    points = tuple(
+        SingularPoint(
+            f"p{k}",
+            LocalType.TRANSVERSE if len(ends) == 2 else LocalType.ORDINARY_TRIPLE,
+            [f"c{i}" for i in ends],
+        )
+        for k, ends in enumerate(incidences)
+    )
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(pair for ends in incidences for pair in itertools.combinations(ends, 2))
+    if nx.is_connected(graph):
+        assert CurveConfiguration(components, points).points == points
+    else:
+        with pytest.raises(ConfigurationError, match="^configuration is not connected$"):
+            CurveConfiguration(components, points)
