@@ -5,10 +5,11 @@ I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
 E~7, E~6. `build` makes explicit configurations through the checked
-constructors, records and configuration alike. Each call makes a fresh
-configuration, but the cycles of three or more curves and the IStar types
-share their records: they slice their (-2)-curves and chain points out of
-one run per multiplicity, grown under a lock to the largest type built so
+constructors, records and configuration alike, from `_shape`'s table of
+multiplicities and point incidences. Each call makes a fresh configuration
+and fresh points, but every type of two or more curves shares its
+(-2)-curves: curve ci of multiplicity m is the i-th record of the run of m,
+one run per multiplicity, grown under a lock to the largest index built so
 far; nothing but `build` reads the runs, and the CLI builds only for the
 multiplicities and intersection matrix that `show` prints. `_recognize`
 runs the fiber gates for every caller: the fiber test, then `_fiber_type`,
@@ -26,6 +27,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .curves import (
     Component,
@@ -158,105 +160,68 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 }
 
 
-def _irreducible(multiplicity: int, genus: int, intrinsic: tuple[IntrinsicType, ...]) -> CurveConfiguration:
-    component = Component("c1", multiplicity, genus, 0, intrinsic)
-    return CurveConfiguration((component,))
-
-
-def _from_incidences(
-    mults: tuple[int, ...],
-    incidences: tuple[tuple[int, ...], ...],
-    local: LocalType = LocalType.TRANSVERSE,
-) -> CurveConfiguration:
-    """(-2)-curves c1, c2, ... of the given multiplicities and one point of
-    type `local` per incidence, which lists component numbers from 1."""
-    names = [f"c{i + 1}" for i in range(len(mults))]
-    components = tuple(Component(name, m, 0, -2, ()) for name, m in zip(names, mults))
-    points = tuple(
-        SingularPoint(f"p{k + 1}", local, [names[i - 1] for i in incident])
-        for k, incident in enumerate(incidences)
-    )
-    return CurveConfiguration(components, points)
+def _shape(kind: KodairaType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], LocalType]:
+    """The multiplicities of the (-2)-curves c1, c2, ... of a type with two
+    or more curves, the incidences of its points, which list component
+    numbers from 1, and the points' local type."""
+    family, n = kind.family, kind.n
+    if family == "III":
+        return (1, 1), ((1, 2),), LocalType.TACNODE
+    if family == "IV":
+        return (1, 1, 1), ((1, 2, 3),), LocalType.ORDINARY_TRIPLE
+    if family in _STAR_DATA:
+        return (*_STAR_DATA[family], LocalType.TRANSVERSE)
+    assert n is not None
+    if family == "IStar":
+        far = n + 5
+        incidences = ((1, 5), (2, 5), (3, far), (4, far), *zip(range(5, far), range(6, far + 1)))
+        return (1,) * 4 + (2,) * (n + 1), incidences, LocalType.TRANSVERSE
+    cycle = ((1, 2), (1, 2)) if n == 2 else (*zip(range(1, n), range(2, n + 1)), (n, 1))
+    return (kind.m or 1,) * n, cycle, LocalType.TRANSVERSE
 
 
 @functools.cache
-def _run(multiplicity: int) -> tuple[list[Component], list[SingularPoint]]:
-    """(-2)-curves c1, c2, ... of one multiplicity, and the transverse
-    points p1, p2, ... where pk meets ck and c(k+1); `_grown` extends them."""
-    return [], []
+def _run(multiplicity: int) -> list[Component]:
+    """(-2)-curves c1, c2, ... of one multiplicity; `build` grows it."""
+    return []
 
 
 _GROWING = threading.Lock()
-
-
-def _grown(multiplicity: int, n: int) -> tuple[list[Component], list[SingularPoint]]:
-    """The run of a multiplicity, with at least n curves and n - 1 points.
-
-    Runs only grow, so readers slice them without the lock. Each list of
-    new records is made whole before it extends the run, the curves before
-    the points, so a failure leaves no point without its curves.
-    """
-    curves, links = _run(multiplicity)
-    if len(links) < n - 1:
-        with _GROWING:
-            curves, links = _run(multiplicity)
-            curves.extend(
-                [
-                    Component(f"c{i}", multiplicity, 0, -2, ())
-                    for i in range(len(curves) + 1, n + 1)
-                ]
-            )
-            links.extend(
-                [
-                    SingularPoint(
-                        f"p{k}", LocalType.TRANSVERSE, (curves[k - 1].name, curves[k].name)
-                    )
-                    for k in range(len(links) + 1, n)
-                ]
-            )
-    return curves, links
 
 
 def build(kind: KodairaType) -> CurveConfiguration:
     """The standard configuration of a catalog type, made fresh on every call
     and checked like any other.
 
-    Cycles of N >= 3 curves and the IStar types share the curves and the
-    chain points that they slice out of the runs.
+    A type of two or more curves takes its curve ci of multiplicity m from
+    the run of m, as the run's i-th record, and makes its points afresh
+    from `_shape`. Runs only grow, each to the last index of its
+    multiplicity that a built type reads, so readers index them without the
+    lock; a run is extended by a list made whole first.
     """
-    family, n, m = kind.family, kind.n, kind.m
-    if family in ("I", "mI"):
-        mult = 1 if family == "I" else m
-        assert mult is not None and n is not None
-        if n == 0:
-            return _irreducible(mult, 1, ())
-        if n == 1:
-            return _irreducible(mult, 0, (IntrinsicType.NODE,))
-        if n == 2:
-            return _from_incidences((mult, mult), ((1, 2), (1, 2)))
-        curves, links = _grown(mult, n)
-        closing = SingularPoint(
-            f"p{n}", LocalType.TRANSVERSE, (curves[n - 1].name, curves[0].name)
-        )
-        return CurveConfiguration(tuple(curves[:n]), (*links[: n - 1], closing))
-    if family == "II":
-        return _irreducible(1, 0, (IntrinsicType.CUSP,))
-    if family == "III":
-        return _from_incidences((1, 1), ((1, 2),), LocalType.TACNODE)
-    if family == "IV":
-        return _from_incidences((1, 1, 1), ((1, 2, 3),), LocalType.ORDINARY_TRIPLE)
-    if family == "IStar":
-        assert n is not None
-        leaves = _grown(1, 4)[0][:4]
-        curves, links = _grown(2, n + 5)
-        middle = curves[4 : n + 5]
-        near, far = middle[0].name, middle[-1].name
-        ends = [
-            SingularPoint(f"p{k}", LocalType.TRANSVERSE, (leaf.name, hub))
-            for k, leaf, hub in zip(range(1, 5), leaves, (near, near, far, far))
-        ]
-        return CurveConfiguration((*leaves, *middle), (*ends, *links[4 : n + 4]))
-    return _from_incidences(*_STAR_DATA[family])
+    family, n = kind.family, kind.n
+    if family == "II" or family in ("I", "mI") and n is not None and n < 2:
+        # rational with a cusp (II), smooth elliptic (N = 0) or rational with a node
+        intrinsic = (IntrinsicType.CUSP,) if family == "II" else (IntrinsicType.NODE,) * (n or 0)
+        return CurveConfiguration((Component("c1", kind.m or 1, int(n == 0), 0, intrinsic),))
+    mults, incidences, local = _shape(kind)
+    runs = {}
+    for m, last in {m: i for i, m in enumerate(mults, 1)}.items():
+        curves = _run(m)
+        if len(curves) < last:
+            with _GROWING:
+                curves = _run(m)
+                curves.extend(
+                    [Component(f"c{i}", m, 0, -2, ()) for i in range(len(curves) + 1, last + 1)]
+                )
+        runs[m] = curves
+    components = tuple([runs[m][i] for i, m in enumerate(mults)])
+    # component numbers count from 1, and every point of a type has the same
+    # arity: one pass over all the incidences names the incident components
+    name_of = ("", *[c.name for c in components]).__getitem__
+    incidents = zip(*[map(name_of, chain.from_iterable(incidences))] * local.arity)
+    points = tuple([SingularPoint(f"p{k}", local, names) for k, names in enumerate(incidents, 1)])
+    return CurveConfiguration(components, points)
 
 
 def classify(config: CurveConfiguration) -> KodairaType | None:

@@ -70,11 +70,6 @@ class IntrinsicType(str, Enum):
     NODE = "node"
     CUSP = "cusp"
 
-    branches: int
-
-    def __init__(self, value: str) -> None:
-        self.branches = 2 if value == "node" else 1
-
 
 def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
     """The setter of each field's slot, in field order. It writes the slot
@@ -200,12 +195,8 @@ def _pairings(config: CurveConfiguration) -> Iterator[tuple[int, int, int]]:
     index = {c.name: i for i, c in enumerate(config.components)}
     for p in config.points:
         contribution = p.local_type.pair_contribution
-        if len(p.incident) == 2:  # the one pair, without an iterator of pairs
-            a, b = p.incident
+        for a, b in combinations(p.incident, 2):
             yield index[a], index[b], contribution
-        else:
-            for a, b in combinations(p.incident, 2):
-                yield index[a], index[b], contribution
 
 
 def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:

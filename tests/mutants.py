@@ -41,10 +41,10 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "`build` names every point of an incidence build p1",
+        "`build` names every point p1",
         "src/kodaira/catalog.py",
-        'SingularPoint(f"p{k + 1}", local,',
-        'SingularPoint("p1", local,',
+        'SingularPoint(f"p{k}", local, names)',
+        'SingularPoint("p1", local, names)',
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructor_accepts_every_built_configuration",
@@ -127,13 +127,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "`_grown` makes point pk with incident (ck, ck)",
+        "`_shape` makes cycle point pk with incident (ck, ck)",
         "src/kodaira/catalog.py",
-        "(curves[k - 1].name, curves[k].name)",
-        "(curves[k - 1].name, curves[k - 1].name)",
+        "(*zip(range(1, n), range(2, n + 1)), (n, 1))",
+        "(*zip(range(1, n), range(1, n)), (n, 1))",
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructors_accept_every_built_record",
+        ),
+    ),
+    Mutant(
+        "`build` grows every run to the number of curves of its type",
+        "src/kodaira/catalog.py",
+        "{m: i for i, m in enumerate(mults, 1)}",
+        "{m: len(mults) for m in mults}",
+        (
+            "tests/test_catalog.py::TestBuild"
+            "::test_build_grows_each_run_to_the_last_curve_it_reads[IStar(7)-16-11]",
         ),
     ),
     Mutant(

@@ -166,6 +166,10 @@ def dual_graph(config: CurveConfiguration) -> nx.MultiGraph:
     return g
 
 
+# the branches of the curve through an intrinsic singularity
+BRANCHES = {IntrinsicType.NODE: 2, IntrinsicType.CUSP: 1}
+
+
 def bipartite_graph(config: CurveConfiguration) -> nx.MultiGraph:
     """Roberts' graph: singular points vs. normalized components.
 
@@ -183,7 +187,7 @@ def bipartite_graph(config: CurveConfiguration) -> nx.MultiGraph:
     for c in config.components:
         for k, s in enumerate(c.intrinsic):
             g.add_node(("i", c.name, k))
-            g.add_edges_from([(("i", c.name, k), ("c", c.name))] * s.branches)
+            g.add_edges_from([(("i", c.name, k), ("c", c.name))] * BRANCHES[s])
     return g
 
 

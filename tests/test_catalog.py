@@ -117,20 +117,27 @@ def _clear_runs() -> None:
 
 def _incidence_build(kind: KodairaType) -> CurveConfiguration:
     """A cycle of N >= 3 curves or an IStar type, every record made for it
-    alone from its incidences."""
+    alone from its incidences by the public constructors."""
     n = kind.n
     if kind.family == "IStar":
         far = n + 5
+        mults = (1,) * 4 + (2,) * (n + 1)
         incidences = [(1, 5), (2, 5), (3, far), (4, far)] + [(j, j + 1) for j in range(5, far)]
-        return catalog._from_incidences((1,) * 4 + (2,) * (n + 1), tuple(incidences))
-    mult = 1 if kind.family == "I" else kind.m
-    return catalog._from_incidences((mult,) * n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+    else:
+        mults = (1 if kind.family == "I" else kind.m,) * n
+        incidences = [(i, i % n + 1) for i in range(1, n + 1)]
+    components = [Component(f"c{i}", m) for i, m in enumerate(mults, 1)]
+    points = [
+        SingularPoint(f"p{k}", LocalType.TRANSVERSE, (f"c{a}", f"c{b}"))
+        for k, (a, b) in enumerate(incidences, 1)
+    ]
+    return CurveConfiguration(components, points)
 
 
 class TestBuild:
     def test_build_keeps_no_configuration_alive(self):
         """`build` makes a fresh configuration on every call and memoizes
-        none: only the runs that it slices the records from stay."""
+        none: only the runs of curves that it reads stay."""
         ref = weakref.ref(build(KodairaType("I", 5)))
         gc.collect()
         assert ref() is None
@@ -153,6 +160,33 @@ class TestBuild:
                 if other != kind:
                     build(other)
             assert serialize_document(build(kind)) == cold[kind], kind
+
+    @pytest.mark.parametrize(
+        "kind,components,points",
+        [(KodairaType("IStar", n), n + 9, n + 4) for n in (0, 7, 300)]
+        + [(KodairaType("I", n), n, n) for n in (3, 300)],
+        ids=str,
+    )
+    def test_build_grows_each_run_to_the_last_curve_it_reads(
+        self, monkeypatch, kind, components, points
+    ):
+        """From cleared runs, `build(IStar(N))` makes c1-c4 of multiplicity 1,
+        c1 ... c(N+5) of multiplicity 2 and N + 4 points, and `build(I(N))`
+        makes N of each. A second build of the same type makes its points
+        again and no component."""
+        made = {Component: 0, SingularPoint: 0}
+        for cls in made:
+
+            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+                made[cls] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        _clear_runs()
+        build(kind)
+        assert made == {Component: components, SingularPoint: points}
+        build(kind)
+        assert made == {Component: components, SingularPoint: 2 * points}
 
     def test_concurrent_builds_match_builds_made_alone(self):
         """Four threads build shuffled mixes of cycles and IStar types from
