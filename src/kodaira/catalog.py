@@ -159,6 +159,8 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
     ),
 }
 
+_E_STAR_BY_ROOT = {tuple(sorted(star)): family for family, (star, _) in _STAR_DATA.items()}
+
 
 def _shape(kind: KodairaType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], LocalType]:
     """The multiplicities of the (-2)-curves c1, c2, ... of a type with two
@@ -283,7 +285,5 @@ def _fiber_type(config: CurveConfiguration) -> KodairaType | None:
         return None
     if mults[:5] == [1, 1, 1, 1, 2]:
         return KodairaType("IStar", n - 5)
-    for family, (star, _) in _STAR_DATA.items():
-        if sorted(star) == mults:
-            return KodairaType(family)
-    return None
+    family = _E_STAR_BY_ROOT.get(tuple(mults))
+    return None if family is None else KodairaType(family)

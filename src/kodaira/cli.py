@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .catalog import TypeSpecError, _recognize, build, catalog_types, parse_type, subclass_of
 from .curves import _sparse_rows
@@ -83,32 +83,28 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _row_texts(
-    rows: list[dict[int, Any]], sep: str, cell: Callable[[Any], str], head: str = "", tail: str = ""
+    rows: list[dict[int, Any]], sep: str, texts: dict[Any, str], head: str = "", tail: str = ""
 ) -> Iterator[str]:
-    """`head + sep.join(map(cell, row)) + tail` per dense row: one join of slices
-    of the all-zero row's text and the entries' texts; `cell` runs once per distinct entry."""
-    zero = cell(0)
-    texts = {0: zero}
+    """`head + sep.join(texts[e] for e in row) + tail` per dense row: one join of slices of
+    the all-zero row's text and the entries' texts, which the command builds, 0 included."""
+    zero = texts[0]
     blank = sep.join([zero] * len(rows))
     step = len(zero) + len(sep)
     for row in rows:
         parts, end = [head], 0
         for j in sorted(row):
-            text = texts.get(row[j])
-            if text is None:
-                text = texts[row[j]] = cell(row[j])
-            parts += blank[end : j * step], text
+            parts += blank[end : j * step], texts[row[j]]
             end = j * step + len(zero)
         parts += blank[end:], tail
         yield "".join(parts)
 
 
 def _print_json_rows(
-    payload: dict[str, Any], key: str, rows: list[dict[int, Any]], cell: Callable[[Any], str]
+    payload: dict[str, Any], key: str, rows: list[dict[int, Any]], texts: dict[Any, str]
 ) -> None:
     """Print `json.dumps(payload | {key: lists}, indent=2, sort_keys=True)`,
     where `lists` is the non-empty square matrix of the sparse `rows`, each
-    entry encoded by `cell`, written a row at a time by `_row_texts`."""
+    entry's text looked up in `texts`, written a row at a time by `_row_texts`."""
     # the separator of two items of a list nested in a list at the top level
     # of a JSON document, as `json.dumps(..., indent=2)` writes it
     items = ",\n      "
@@ -117,7 +113,7 @@ def _print_json_rows(
     write = sys.stdout.write
     write(f'{head}"{key}": [')
     comma = ""
-    for text in _row_texts(rows, items, cell, "\n    [\n      ", "\n    ]"):
+    for text in _row_texts(rows, items, texts, "\n    [\n      ", "\n    ]"):
         write(comma)
         write(text)
         comma = ","
@@ -136,6 +132,8 @@ def cmd_show(args: argparse.Namespace) -> int:
     else:
         locus = f"{count} isolated point" + ("s" if count != 1 else "")
     mults, matrix = config.multiplicities(), _sparse_rows(config)
+    # the text of each distinct entry: 0 for the cells the sparse rows leave out
+    texts = {e: str(e) for e in {0}.union(*map(dict.values, matrix))}
     # (text label, text value, JSON key, JSON value) in text order; no key
     # means text only. The intersection matrix follows them in both formats,
     # written a row at a time.
@@ -160,15 +158,15 @@ def cmd_show(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {key: value for _, _, key, value in rows if key}
-        _print_json_rows(payload, "intersection_matrix", matrix, str)
+        _print_json_rows(payload, "intersection_matrix", matrix, texts)
         return 0
     for label, text, _, _ in rows:
         print(f"{label}: {text}")
     print("intersection matrix:")
-    # a 0 is one character wide, so the entries of the sparse rows set the width
-    width = max(map(len, map(str, {e for row in matrix for e in row.values()})))
+    width = max(map(len, texts.values()))
+    texts = {e: text.rjust(width) for e, text in texts.items()}
     write = sys.stdout.write
-    for text in _row_texts(matrix, " ", f"{{:>{width}}}".format, "  [", "]\n"):
+    for text in _row_texts(matrix, " ", texts, "  [", "]\n"):
         write(text)
     return 0
 
@@ -234,14 +232,14 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         text = {kind: json.dumps(kind.value) for kind in VerdictKind}
     else:
         text = {kind: f" {char:>{width}}" for kind, char in _CELL_CHAR.items()}
-    text[0] = text[VerdictKind.NOT_EQUIVALENT]  # `_row_texts` writes cell(0) off the rows
+    text[0] = text[VerdictKind.NOT_EQUIVALENT]  # the cells left out of the rows
     if args.format == "json":
-        _print_json_rows({"types": names}, "cells", rows, text.__getitem__)
+        _print_json_rows({"types": names}, "cells", rows, text)
         return 0
     print("legend: = isomorphic, x not equivalent, ? possibly equivalent")
     print(" " * width + "".join(f" {name:>{width}}" for name in names))
     write = sys.stdout.write
-    for name, line in zip(names, _row_texts(rows, "", text.__getitem__, tail="\n")):
+    for name, line in zip(names, _row_texts(rows, "", text, tail="\n")):
         write(f"{name:<{width}}")
         write(line)
     return 0

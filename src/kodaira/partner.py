@@ -83,7 +83,7 @@ def _agreeing(px: InvariantProfile, py: InvariantProfile, identical: bool) -> Pa
     if px.reduced:
         # subclass L1: matching profiles separate the reduced types, so the types agree
         assert px.kind == py.kind, (px.kind, py.kind)
-        note = _SMOOTH_ELLIPTIC_NOTE if px.kind == KodairaType("I", 0) else None
+        note = _SMOOTH_ELLIPTIC_NOTE if px.smooth else None  # I(0) alone is smooth
         return PartnerVerdict(VerdictKind.ISOMORPHIC, note=note)
     note = "the two configurations are identical" if identical else _NO_CONVERSE_NOTE
     return PartnerVerdict(VerdictKind.POSSIBLY_EQUIVALENT, note=note)

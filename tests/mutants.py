@@ -103,6 +103,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_large_matrix_prints_the_partner_matrix_kinds",),
     ),
     Mutant(
+        "`_agreeing` notes every reduced isomorphism",
+        "src/kodaira/partner.py",
+        "_SMOOTH_ELLIPTIC_NOTE if px.smooth else None",
+        "_SMOOTH_ELLIPTIC_NOTE if px.reduced else None",
+        ("tests/test_partner.py::TestCompare::test_reduced_self_comparison_is_isomorphic[kind1]",),
+    ),
+    Mutant(
         "`build` memoized per type",
         "src/kodaira/catalog.py",
         "def build(kind: KodairaType) -> CurveConfiguration:",
@@ -134,6 +141,8 @@ MUTANTS = (
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructors_accept_every_built_record",
+            "tests/test_catalog.py::TestShape"
+            "::test_the_matrix_is_minus_the_affine_cartan_matrix[I(3)]",
         ),
     ),
     Mutant(
@@ -206,14 +215,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the `_row_texts` memo formats a 1 as a 0",
+        "`cmd_show`'s table formats a 1 as a 0",
         "src/kodaira/cli.py",
-        "texts = {0: zero}",
-        "texts = {0: zero, 1: zero}",
-        (
-            "tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[I(3)]",
-            "tests/test_cli.py::test_row_texts_formats_each_distinct_entry_once",
-        ),
+        "texts = {e: text.rjust(width) for e, text in texts.items()}",
+        "texts = {e: text.rjust(width) for e, text in texts.items()} | {1: texts[0].rjust(width)}",
+        ("tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[I(3)]",),
+    ),
+    Mutant(
+        "`cmd_show` keeps every row text of the table",
+        "src/kodaira/cli.py",
+        r'for text in _row_texts(matrix, " ", texts, "  [", "]\n"):',
+        r'for text in list(_row_texts(matrix, " ", texts, "  [", "]\n")):',
+        ("tests/test_growth.py::test_show_cycle_peak_grows_linearly",),
+    ),
+    Mutant(
+        "`_print_json_rows` keeps every row text",
+        "src/kodaira/cli.py",
+        r'for text in _row_texts(rows, items, texts, "\n    [\n      ", "\n    ]"):',
+        r'for text in list(_row_texts(rows, items, texts, "\n    [\n      ", "\n    ]")):',
+        ("tests/test_growth.py::test_show_istar_json_peak_grows_linearly",),
     ),
     Mutant(
         "`cmd_compare` never finds the two sides identical",
@@ -236,6 +256,14 @@ MUTANTS = (
             "tests/test_cli.py::test_a_cold_compare_makes_no_record_and_calls_neither_build"
             "_nor_recognize[IStar(4)-IStar(4)-PossiblyEquivalent]",
         ),
+    ),
+    Mutant(
+        "`cmd_compare` builds and profiles the left configuration",
+        "src/kodaira/cli.py",
+        "verdict = _verdict(_type_profile(kind_a),",
+        "verdict = _verdict("
+        '__import__("kodaira.invariants").invariants.invariant_profile(build(kind_a)),',
+        ("tests/test_growth.py::test_compare_peak_does_not_grow_with_the_cycle",),
     ),
     Mutant(
         "`cmd_show` profiles the configuration that it builds",

@@ -1,10 +1,13 @@
+import functools
 import gc
+import itertools
 import random
 import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
+import networkx as nx
 import pytest
 
 from kodaira import (
@@ -24,7 +27,13 @@ from kodaira import (
     serialize_document,
     subclass_of,
 )
-from oracles import relabeled
+from oracles import (
+    integer_kernel,
+    reference_cycle,
+    reference_dstar,
+    reference_estar,
+    relabeled,
+)
 
 
 class TestTypeParameters:
@@ -274,6 +283,73 @@ class TestBuild:
     @pytest.mark.parametrize("kind", catalog_types(12, 4))
     def test_every_catalog_configuration_is_fiber_like(self, kind):
         assert fiber_obstruction(build(kind)) is None
+
+
+# every type of two or more curves in catalog_types(12, 4), and three large ones
+_SHAPED = [
+    t
+    for t in catalog_types(12, 4)
+    if t.family != "II" and not (t.family in ("I", "mI") and t.n < 2)
+] + [KodairaType("I", 2000), KodairaType("IStar", 2000), KodairaType("mI", n=2000, m=5)]
+
+_E_STAR_ARMS = {"IVStar": (2, 2, 2), "IIIStar": (3, 3, 1), "IIStar": (5, 2, 1)}
+
+
+def _reference_diagram(kind: KodairaType) -> nx.MultiGraph:
+    """The affine Dynkin diagram of a type, from the oracles alone."""
+    if kind.family in ("I", "mI", "III", "IV"):
+        return reference_cycle({"III": 2, "IV": 3}.get(kind.family, kind.n))  # A~1, A~2
+    if kind.family == "IStar":
+        return reference_dstar(kind.n)
+    return reference_estar(_E_STAR_ARMS[kind.family])
+
+
+def _shape_diagram(kind: KodairaType) -> tuple[tuple[int, ...], nx.MultiGraph]:
+    """`_shape`'s multiplicities, and the multigraph on its curves 1, 2, ...
+    with `pair_contribution` edges for each pair of curves through a point."""
+    mults, incidences, local = catalog._shape(kind)
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(1, len(mults) + 1))
+    for incident in incidences:
+        for pair in itertools.combinations(incident, 2):
+            g.add_edges_from([pair] * local.pair_contribution)
+    return mults, g
+
+
+@functools.cache  # I(N) and mI(m,N) share one matrix
+def _primitive_kernel_vector(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The positive primitive vector that spans the integer kernel of
+    -2 I + A on the curves 1..n, A the adjacency counts of `edges`."""
+    matrix = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        matrix[a - 1][b - 1] += 1
+        matrix[b - 1][a - 1] += 1
+    (basis,) = integer_kernel(matrix)
+    return tuple(-x for x in basis) if basis[0] < 0 else tuple(basis)
+
+
+class TestShape:
+    """`_shape` checked against the affine diagrams of the oracles, which
+    share no code with it.
+
+    The matrix that `_shape` gives has -2 on the diagonal and, off it, the
+    edge counts of `_shape_diagram`: minus the Cartan matrix of that
+    multigraph. It equals minus the Cartan matrix of the reference diagram
+    up to relabelling exactly when the two multigraphs are isomorphic.
+    """
+
+    @pytest.mark.parametrize("kind", _SHAPED, ids=str)
+    def test_the_matrix_is_minus_the_affine_cartan_matrix(self, kind):
+        _, diagram = _shape_diagram(kind)
+        assert nx.number_of_selfloops(diagram) == 0
+        assert nx.vf2pp_is_isomorphic(diagram, _reference_diagram(kind))
+
+    @pytest.mark.parametrize("kind", _SHAPED, ids=str)
+    def test_the_multiplicities_are_a_multiple_of_the_null_root(self, kind):
+        mults, diagram = _shape_diagram(kind)
+        root = _primitive_kernel_vector(len(mults), tuple(diagram.edges()))
+        k = mults[0] // root[0]
+        assert k >= 1 and mults == tuple(k * x for x in root), kind
 
 
 class TestClassify:

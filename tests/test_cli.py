@@ -35,6 +35,7 @@ from kodaira import (
 )
 from kodaira.cli import _DSG_TEXT, main
 from kodaira.curves import _sparse_rows
+from growth import traced_peak
 from oracles import compare_kinds, dense_matrix, matrix_output
 from readme_examples import REPO, readme_console_examples
 
@@ -567,20 +568,18 @@ def test_show_renders_any_matrix_like_a_per_cell_rendering(config):
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_row_texts_formats_each_distinct_entry_once():
-    """`_row_texts` runs `cell` once per distinct entry, not once per
-    nonzero cell, and each row is the head, the per-cell join and the tail."""
+def test_row_texts_looks_each_cell_up_in_the_command_table():
+    """`_row_texts` formats nothing: each cell is its entry's text in the
+    table that the command passes, 0 included, whatever its width, and each
+    row is the head, the per-cell join and the tail. An entry missing from
+    the table is an error, not a cell formatted on the spot."""
     config = build(KodairaType("I", 400))
     rows, entries = _sparse_rows(config), dense_matrix(config)
-    calls = []
-
-    def cell(entry):
-        calls.append(entry)
-        return f"{entry:>2}"
-
-    texts = list(cli._row_texts(rows, ", ", cell, "<", ">\n"))
-    assert sorted(calls) == [-2, 0, 1]
-    assert texts == ["<" + ", ".join(f"{e:>2}" for e in row) + ">\n" for row in entries]
+    texts = {-2: "minus two", 0: ".", 1: "one"}
+    lines = list(cli._row_texts(rows, ", ", texts, "<", ">\n"))
+    assert lines == ["<" + ", ".join(texts[e] for e in row) + ">\n" for row in entries]
+    with pytest.raises(KeyError):
+        list(cli._row_texts(rows, ", ", {-2: "-2", 0: "0"}))
 
 
 class DigestSink:
@@ -613,7 +612,7 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
     values = set().union(*entries)
     width = max(len(str(e)) for e in values)
 
-    def per_cell(rows, sep, cell, head="", tail=""):
+    def per_cell(rows, sep, texts, head="", tail=""):
         """`cli._row_texts` as a lookup per cell of the oracle's matrix."""
         text = {e: f"{e:>{width}}" if sep == " " else str(e) for e in values}
         return (head + sep.join(map(text.__getitem__, row)) + tail for row in entries)
@@ -636,16 +635,10 @@ def test_matrix_writes_its_rows_in_small_memory():
     O(T) text for T types. With the runs grown, both formats of the
     853-type `matrix --max-n 120 --max-m 6` peak below 1.5 MiB; one row
     text per class took 3.7 MiB (table) and 7.2 MiB (JSON)."""
-    peaks = {}
-    for fmt in ("table", "json"):
-        argv = ["matrix", "--max-n", "120", "--max-m", "6", "--format", fmt]
-        digest_of(argv)  # grows the runs
-        tracemalloc.start()
-        try:
-            digest_of(argv)
-            _, peaks[fmt] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    peaks = {
+        fmt: traced_peak(["matrix", "--max-n", "120", "--max-m", "6", "--format", fmt])
+        for fmt in ("table", "json")
+    }
     assert max(peaks.values()) < 1.5 * 2**20, peaks
 
 

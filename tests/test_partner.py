@@ -81,6 +81,8 @@ class TestCompare:
     def test_reduced_self_comparison_is_isomorphic(self, kind):
         verdict = compare(build(kind), build(kind))
         assert verdict.kind is VerdictKind.ISOMORPHIC
+        # I(0) is the only smooth type, and only its isomorphism carries a note
+        assert (verdict.note is None) == (kind != KodairaType("I", 0)), verdict.note
 
     def test_smooth_elliptic_self_comparison_carries_a_note(self):
         verdict = compare(build(KodairaType("I", 0)), build(KodairaType("I", 0)))
