@@ -5,13 +5,10 @@ I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
 II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
 IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
 E~7, E~6. `build` makes explicit configurations through the checked
-constructors, records and configuration alike, from `_shape`'s table of
-multiplicities and point incidences. Each call makes a fresh configuration
-and fresh points, but every type of two or more curves shares its
-(-2)-curves: curve ci of multiplicity m is the i-th record of the run of m,
-one run per multiplicity, grown under a lock to the largest index built so
-far; nothing but `build` reads the runs, and the CLI builds only for the
-multiplicities and intersection matrix that `show` prints. `_recognize`
+constructors, records and configuration alike, all fresh on every call,
+from `_shape`'s table of multiplicities and point incidences. `_shape_rows`
+reads the multiplicities and the sparse intersection matrix off the same
+table without a record; `show` prints those, so no command builds. `_recognize`
 runs the fiber gates for every caller: the fiber test, then `_fiber_type`,
 which reads the type off the sorted multiplicities, for a fiber of
 (-2)-curves a multiple of the null root of its affine diagram; no
@@ -24,10 +21,9 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 
 from .curves import (
     Component,
@@ -162,10 +158,19 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 _E_STAR_BY_ROOT = {tuple(sorted(star)): family for family, (star, _) in _STAR_DATA.items()}
 
 
+def _one_curve(kind: KodairaType) -> bool:
+    """Whether the type is one curve: II, I(0), I(1), mI(m,0) or mI(m,1)."""
+    return kind.family == "II" or kind.family in ("I", "mI") and (kind.n or 0) < 2
+
+
+@functools.lru_cache(maxsize=16)
 def _shape(kind: KodairaType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], LocalType]:
     """The multiplicities of the (-2)-curves c1, c2, ... of a type with two
     or more curves, the incidences of its points, which list component
-    numbers from 1, and the points' local type."""
+    numbers from 1, and the points' local type.
+
+    The catalog's one cache: a pure function of a frozen type whose tuples
+    no caller can change, bounded to the types read last."""
     family, n = kind.family, kind.n
     if family == "III":
         return (1, 1), ((1, 2),), LocalType.TACNODE
@@ -182,42 +187,46 @@ def _shape(kind: KodairaType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return (kind.m or 1,) * n, cycle, LocalType.TRANSVERSE
 
 
-@functools.cache
-def _run(multiplicity: int) -> list[Component]:
-    """(-2)-curves c1, c2, ... of one multiplicity; `build` grows it."""
-    return []
+def _shape_rows(kind: KodairaType) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """The multiplicities and the intersection matrix of `build(kind)`, row i
+    as {column: entry} with the other entries 0, read off `_shape` without
+    making a record.
 
-
-_GROWING = threading.Lock()
+    One curve has C^2 = 0, since M * m = 0. Otherwise each curve is a
+    (-2)-curve, and each point adds its local contribution to every pair of
+    its incident curves: the two points of I(2), III's tacnode and IV's
+    triple point included.
+    """
+    if _one_curve(kind):
+        return (kind.m or 1,), [{0: 0}]
+    mults, incidences, local = _shape(kind)
+    rows = [{i: -2} for i in range(len(mults))]
+    k = local.pair_contribution
+    # a point on two curves is their pair; IV's triple point pairs each two of its curves
+    pairs = incidences if local.arity == 2 else [p for i in incidences for p in combinations(i, 2)]
+    for a, b in pairs:
+        a, b = a - 1, b - 1
+        row = rows[a]
+        row[b] = row.get(b, 0) + k
+        row = rows[b]
+        row[a] = row.get(a, 0) + k
+    return mults, rows
 
 
 def build(kind: KodairaType) -> CurveConfiguration:
-    """The standard configuration of a catalog type, made fresh on every call
-    and checked like any other.
+    """The standard configuration of a catalog type, made fresh on every call,
+    records included, and checked like any other.
 
-    A type of two or more curves takes its curve ci of multiplicity m from
-    the run of m, as the run's i-th record, and makes its points afresh
-    from `_shape`. Runs only grow, each to the last index of its
-    multiplicity that a built type reads, so readers index them without the
-    lock; a run is extended by a list made whole first.
+    A type of two or more curves has curve ci of multiplicity m, a smooth
+    rational (-2)-curve, and the points of `_shape`.
     """
-    family, n = kind.family, kind.n
-    if family == "II" or family in ("I", "mI") and n is not None and n < 2:
+    if _one_curve(kind):
+        n = kind.n
         # rational with a cusp (II), smooth elliptic (N = 0) or rational with a node
-        intrinsic = (IntrinsicType.CUSP,) if family == "II" else (IntrinsicType.NODE,) * (n or 0)
+        intrinsic = (IntrinsicType.CUSP,) if n is None else (IntrinsicType.NODE,) * n
         return CurveConfiguration((Component("c1", kind.m or 1, int(n == 0), 0, intrinsic),))
     mults, incidences, local = _shape(kind)
-    runs = {}
-    for m, last in {m: i for i, m in enumerate(mults, 1)}.items():
-        curves = _run(m)
-        if len(curves) < last:
-            with _GROWING:
-                curves = _run(m)
-                curves.extend(
-                    [Component(f"c{i}", m, 0, -2, ()) for i in range(len(curves) + 1, last + 1)]
-                )
-        runs[m] = curves
-    components = tuple([runs[m][i] for i, m in enumerate(mults)])
+    components = tuple([Component(f"c{i}", m, 0, -2, ()) for i, m in enumerate(mults, 1)])
     # component numbers count from 1, and every point of a type has the same
     # arity: one pass over all the incidences names the incident components
     name_of = ("", *[c.name for c in components]).__getitem__

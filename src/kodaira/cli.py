@@ -15,8 +15,7 @@ import sys
 from dataclasses import asdict
 from typing import Any, Iterator
 
-from .catalog import TypeSpecError, _recognize, build, catalog_types, parse_type, subclass_of
-from .curves import _sparse_rows
+from .catalog import TypeSpecError, _recognize, _shape_rows, catalog_types, parse_type, subclass_of
 from .document import _INTEGER, DocumentError, _parse_int, parse_document
 from .invariants import DsgStatus, _type_profile
 from .partner import VerdictKind, _verdict, _verdict_rows
@@ -122,7 +121,6 @@ def _print_json_rows(
 
 def cmd_show(args: argparse.Namespace) -> int:
     kind = parse_type(args.type)
-    config = build(kind)  # for its multiplicities and intersection matrix alone
     p = _type_profile(kind)
     chi, count, status = 1 - p.arithmetic_genus, p.singular_point_count, p.dsg_status
     if p.smooth:
@@ -131,7 +129,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         locus = "the whole curve (non-reduced)"
     else:
         locus = f"{count} isolated point" + ("s" if count != 1 else "")
-    mults, matrix = config.multiplicities(), _sparse_rows(config)
+    mults, matrix = _shape_rows(kind)
     # the text of each distinct entry: 0 for the cells the sparse rows leave out
     texts = {e: str(e) for e in {0}.union(*map(dict.values, matrix))}
     # (text label, text value, JSON key, JSON value) in text order; no key

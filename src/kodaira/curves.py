@@ -208,18 +208,6 @@ def _product(config: CurveConfiguration, vector: Sequence[int]) -> list[int]:
     return product
 
 
-def _sparse_rows(config: CurveConfiguration) -> list[dict[int, int]]:
-    """Row i of the intersection matrix as {column: entry}; other entries are 0.
-
-    All rows together hold O(components + points) entries.
-    """
-    rows = [{i: c.self_intersection} for i, c in enumerate(config.components)]
-    for i, j, k in _pairings(config):
-        rows[i][j] = rows[i].get(j, 0) + k
-        rows[j][i] = rows[j].get(i, 0) + k
-    return rows
-
-
 def fiber_obstruction(config: CurveConfiguration) -> str | None:
     """Why the configuration fails the numerical fiber test, or None.
 

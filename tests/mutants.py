@@ -146,13 +146,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "`build` grows every run to the number of curves of its type",
+        "`_shape_rows` adds a tacnode's contribution as 1",
         "src/kodaira/catalog.py",
-        "{m: i for i, m in enumerate(mults, 1)}",
-        "{m: len(mults) for m in mults}",
+        "k = local.pair_contribution",
+        "k = 1",
         (
-            "tests/test_catalog.py::TestBuild"
-            "::test_build_grows_each_run_to_the_last_curve_it_reads[IStar(7)-16-11]",
+            "tests/test_cli.py"
+            "::test_show_reads_the_matrix_and_multiplicities_of_the_built_type[III]",
         ),
     ),
     Mutant(
@@ -209,10 +209,7 @@ MUTANTS = (
         "src/kodaira/curves.py",
         "for a, b in combinations(p.incident, 2):",
         "for a, b in list(combinations(p.incident, 2))[:1]:",
-        (
-            "tests/test_cli.py::test_show_matrix_matches_a_per_cell_rendering[IV]",
-            "tests/test_curves.py::TestFiberTest::test_radical_is_the_primitive_multiplicity_vector[IV]",
-        ),
+        ("tests/test_curves.py::TestFiberTest::test_radical_is_the_primitive_multiplicity_vector[IV]",),
     ),
     Mutant(
         "`cmd_show`'s table formats a 1 as a 0",
@@ -266,11 +263,31 @@ MUTANTS = (
         ("tests/test_growth.py::test_compare_peak_does_not_grow_with_the_cycle",),
     ),
     Mutant(
-        "`cmd_show` profiles the configuration that it builds",
+        "`cmd_show` builds and profiles its configuration",
         "src/kodaira/cli.py",
         "p = _type_profile(kind)",
-        'p = __import__("kodaira.invariants").invariants.invariant_profile(config)',
+        'p = __import__("kodaira.invariants").invariants.invariant_profile('
+        '__import__("kodaira.catalog").catalog.build(kind))',
         ("tests/test_cli.py::test_show_computes_the_loop_rank_once[table-II]",),
+    ),
+    Mutant(
+        "`cmd_show` builds its type",
+        "src/kodaira/cli.py",
+        "kind = parse_type(args.type)\n",
+        'kind = parse_type(args.type)\n    __import__("kodaira.catalog").catalog.build(kind)\n',
+        (
+            "tests/test_cli.py::test_a_cold_show_makes_no_record_and_calls_neither_build"
+            "_nor_recognize[table-IStar(800)]",
+            "tests/test_cli.py::test_a_cold_show_makes_no_record_and_calls_neither_build"
+            "_nor_recognize[json-I(400)]",
+        ),
+    ),
+    Mutant(
+        "`cmd_matrix` holds every row text in a list",
+        "src/kodaira/cli.py",
+        'zip(names, _row_texts(rows, "", text, tail="\\n"))',
+        'zip(names, list(_row_texts(rows, "", text, tail="\\n")))',
+        ("tests/test_growth.py::test_matrix_peak_grows_linearly_with_the_types",),
     ),
     Mutant(
         "`_class_count` takes a link inside the class rooted at 0 for a join",

@@ -3,9 +3,9 @@
 Each oracle recomputes a quantity along a route the library does not use:
 kernels by unimodular integer column reduction instead of rational RREF,
 cycle ranks by growing a spanning forest, semidefiniteness by signs of all
-principal minors, the intersection matrix cell by cell from the point
-records instead of from sparse rows, reference affine diagrams built
-directly as networkx multigraphs, and isomorphism of configurations by
+principal minors, the intersection matrix from the point records, cell by
+cell or as sparse rows, instead of from the type's shape table, reference
+affine diagrams built directly as networkx multigraphs, and isomorphism of configurations by
 networkx graph matching, and the `matrix` table from one `compare` per
 cell, each cell rendered on its own.
 The dual graph and Roberts' branch-incidence graph of a configuration are
@@ -139,6 +139,18 @@ def dense_matrix(config: CurveConfiguration) -> list[list[int]]:
             for b in p.incident:
                 if a != b:
                     rows[index[a]][index[b]] += PAIR_WEIGHT[p.local_type]
+    return rows
+
+
+def sparse_rows(config: CurveConfiguration) -> list[dict[int, int]]:
+    """Row i of the intersection matrix as {column: entry}, the other entries
+    0, from the records: the reference for the rows `show` reads off the type."""
+    index = {c.name: i for i, c in enumerate(config.components)}
+    rows = [{i: c.self_intersection} for i, c in enumerate(config.components)]
+    for p in config.points:
+        for a, b in itertools.combinations([index[name] for name in p.incident], 2):
+            rows[a][b] = rows[a].get(b, 0) + PAIR_WEIGHT[p.local_type]
+            rows[b][a] = rows[b].get(a, 0) + PAIR_WEIGHT[p.local_type]
     return rows
 
 

@@ -24,7 +24,6 @@ from kodaira import (
     classify,
     fiber_obstruction,
     parse_type,
-    serialize_document,
     subclass_of,
 )
 from oracles import (
@@ -120,10 +119,6 @@ _REVALIDATED = (
 )
 
 
-def _clear_runs() -> None:
-    catalog._run.cache_clear()
-
-
 def _incidence_build(kind: KodairaType) -> CurveConfiguration:
     """A cycle of N >= 3 curves or an IStar type, every record made for it
     alone from its incidences by the public constructors."""
@@ -145,71 +140,30 @@ def _incidence_build(kind: KodairaType) -> CurveConfiguration:
 
 class TestBuild:
     def test_build_keeps_no_configuration_alive(self):
-        """`build` makes a fresh configuration on every call and memoizes
-        none: only the runs of curves that it reads stay."""
+        """`build` makes a fresh configuration, records included, on every
+        call and memoizes none."""
         ref = weakref.ref(build(KodairaType("I", 5)))
         gc.collect()
         assert ref() is None
         assert build(KodairaType("I", 5)) == build(KodairaType("I", 5))
 
-    def test_cold_and_warm_runs_give_the_same_configuration(self):
-        """A type built from runs that only it has grown serializes as it
-        does after every other type, in reverse order, has grown them; the
-        cycles of N >= 3 curves and the IStar types equal their incidence
-        builds."""
-        cold = {}
+    def test_cycles_and_istar_types_equal_their_incidence_builds(self):
+        """The cycles of N >= 3 curves and the IStar types equal the
+        configurations made for them alone from their incidences."""
         for kind in _SLICED:
-            _clear_runs()
-            cold[kind] = serialize_document(build(kind))
             if kind.family == "IStar" or kind.n is not None and kind.n >= 3:
                 assert build(kind) == _incidence_build(kind), kind
-        for kind in _SLICED:
-            _clear_runs()
-            for other in reversed(_SLICED):
-                if other != kind:
-                    build(other)
-            assert serialize_document(build(kind)) == cold[kind], kind
-
-    @pytest.mark.parametrize(
-        "kind,components,points",
-        [(KodairaType("IStar", n), n + 9, n + 4) for n in (0, 7, 300)]
-        + [(KodairaType("I", n), n, n) for n in (3, 300)],
-        ids=str,
-    )
-    def test_build_grows_each_run_to_the_last_curve_it_reads(
-        self, monkeypatch, kind, components, points
-    ):
-        """From cleared runs, `build(IStar(N))` makes c1-c4 of multiplicity 1,
-        c1 ... c(N+5) of multiplicity 2 and N + 4 points, and `build(I(N))`
-        makes N of each. A second build of the same type makes its points
-        again and no component."""
-        made = {Component: 0, SingularPoint: 0}
-        for cls in made:
-
-            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
-                made[cls] += 1
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted)
-        _clear_runs()
-        build(kind)
-        assert made == {Component: components, SingularPoint: points}
-        build(kind)
-        assert made == {Component: components, SingularPoint: 2 * points}
 
     def test_concurrent_builds_match_builds_made_alone(self):
-        """Four threads build shuffled mixes of cycles and IStar types from
-        cold runs, switching every microsecond; the runs grow under one
-        lock, so every configuration equals the one built alone."""
+        """Four threads build shuffled mixes of cycles and IStar types,
+        switching every microsecond; `build` shares no state between calls,
+        so every configuration equals the one built alone."""
         kinds = [
             kind
             for n in range(50, 1000, 50)
             for kind in (KodairaType("I", n), KodairaType("IStar", n), KodairaType("mI", n, 2))
         ]
-        alone = {}
-        for kind in kinds:
-            _clear_runs()
-            alone[kind] = build(kind)
+        alone = {kind: build(kind) for kind in kinds}
 
         start = threading.Barrier(4)
 
@@ -223,7 +177,6 @@ class TestBuild:
         sys.setswitchinterval(1e-6)
         try:
             for first in range(0, 16, 4):
-                _clear_runs()
                 seeds = range(first, first + 4)
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     for built in pool.map(build_all, seeds, timeout=60):

@@ -34,9 +34,8 @@ from kodaira import (
     serialize_document,
 )
 from kodaira.cli import _DSG_TEXT, main
-from kodaira.curves import _sparse_rows
 from growth import traced_peak
-from oracles import compare_kinds, dense_matrix, matrix_output
+from oracles import compare_kinds, dense_matrix, matrix_output, sparse_rows
 from readme_examples import REPO, readme_console_examples
 
 
@@ -397,7 +396,7 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
 
 
 def _clear_caches() -> None:
-    catalog._run.cache_clear()
+    catalog._shape.cache_clear()
 
 
 def _count_records_and_calls(monkeypatch) -> tuple[dict, dict]:
@@ -464,6 +463,25 @@ def test_a_cold_compare_makes_no_record_and_calls_neither_build_nor_recognize(
     assert calls == {"build": 2, "_recognize": 2}, calls
 
 
+@pytest.mark.parametrize("spec", ["IStar(800)", "I(400)"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_cold_show_makes_no_record_and_calls_neither_build_nor_recognize(
+    capsys, monkeypatch, spec, fmt
+):
+    """`show` reads its multiplicities and intersection matrix off the
+    type's shape table, so a cold `show "IStar(800)"` makes no component or
+    point record; building it made 805 and 804."""
+    made, calls = _count_records_and_calls(monkeypatch)
+    _clear_caches()
+    code, out, _ = run_cli(capsys, "show", spec, "--format", fmt)
+    assert code == 0 and spec in out
+    assert made == {Component: 0, SingularPoint: 0}, made
+    assert calls == {"build": 0, "_recognize": 0}, calls
+    catalog.build(KodairaType("I", 3))  # the counters do count
+    assert made == {Component: 3, SingularPoint: 3}, made
+    assert calls == {"build": 1, "_recognize": 0}, calls
+
+
 def test_a_cold_matrix_neither_checks_nor_hashes_a_configuration(capsys, monkeypatch):
     """`matrix` profiles types, not configurations, so a cold
     `matrix --max-n 40 --max-m 6` re-checks and hashes none; checked builds
@@ -508,6 +526,25 @@ def test_show_matrix_matches_a_per_cell_rendering(capsys, kind):
     assert code == 0
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
     assert json.loads(out)["intersection_matrix"] == entries
+
+
+@pytest.mark.parametrize(
+    "kind",
+    catalog_types(12, 4)
+    + [KodairaType("IStar", 800), KodairaType("mI", n=400, m=3)],
+    ids=str,
+)
+def test_show_reads_the_matrix_and_multiplicities_of_the_built_type(capsys, kind):
+    """`show` reads its rows off the shape table; `build` makes the records
+    through the checked constructors, so the configuration it checks is the
+    reference. `catalog_types(12, 4)` holds the small cases: I(2)'s two
+    points on one pair, III's tacnode and IV's triple point."""
+    config = build(kind)
+    code, out, _ = run_cli(capsys, "show", str(kind), "--format", "json")
+    assert code == 0
+    shown = json.loads(out)
+    assert shown["intersection_matrix"] == dense_matrix(config)
+    assert tuple(shown["multiplicities"]) == config.multiplicities()
 
 
 @st.composite
@@ -559,8 +596,8 @@ def test_show_renders_any_matrix_like_a_per_cell_rendering(config):
     """`_row_texts` slices each row out of one formatted zero row; both
     formats of `show` must still read as if every cell were formatted."""
     entries = dense_matrix(config)
-    rows = _sparse_rows(config)
-    with mock.patch.object(cli, "_sparse_rows", lambda _: rows):
+    mults_and_rows = config.multiplicities(), sparse_rows(config)
+    with mock.patch.object(cli, "_shape_rows", lambda _: mults_and_rows):
         table = show_output("show", "I(0)")
         text = show_output("show", "I(0)", "--format", "json")
     assert table.split("intersection matrix:\n", 1)[1] == per_cell_lines(entries)
@@ -574,7 +611,7 @@ def test_row_texts_looks_each_cell_up_in_the_command_table():
     row is the head, the per-cell join and the tail. An entry missing from
     the table is an error, not a cell formatted on the spot."""
     config = build(KodairaType("I", 400))
-    rows, entries = _sparse_rows(config), dense_matrix(config)
+    rows, entries = sparse_rows(config), dense_matrix(config)
     texts = {-2: "minus two", 0: ".", 1: "one"}
     lines = list(cli._row_texts(rows, ", ", texts, "<", ">\n"))
     assert lines == ["<" + ", ".join(texts[e] for e in row) + ">\n" for row in entries]
@@ -632,7 +669,7 @@ def test_show_writes_a_large_matrix_in_small_memory(fmt):
 def test_matrix_writes_its_rows_in_small_memory():
     """Every row of a profile class shares the class's sparse row, and
     `_row_texts` slices each printed row out of one all-NotEquivalent row:
-    O(T) text for T types. With the runs grown, both formats of the
+    O(T) text for T types. Both formats of the warm
     853-type `matrix --max-n 120 --max-m 6` peak below 1.5 MiB; one row
     text per class took 3.7 MiB (table) and 7.2 MiB (JSON)."""
     peaks = {
@@ -667,7 +704,7 @@ def test_a_cold_matrix_builds_its_types_in_small_memory():
 def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
     """D_sg is read off the profile's smooth flag and K^-1 rank, the loop
     rank, so `show` reads the profile off its type once and recognizes
-    nothing; it builds the type only for the intersection matrix."""
+    nothing; it reads the intersection matrix off the type and builds nothing."""
     type_profile = cli._type_profile
     profiled = []
 
@@ -680,7 +717,7 @@ def test_show_computes_the_loop_rank_once(capsys, monkeypatch, kind, fmt):
     code, out, _ = run_cli(capsys, "show", str(kind), "--format", fmt)
     assert code == 0
     assert profiled == [kind]
-    assert calls == {"build": 1, "_recognize": 0}, calls
+    assert calls == {"build": 0, "_recognize": 0}, calls
     status = invariant_profile(build(kind)).dsg_status
     if fmt == "json":
         assert json.loads(out)["dsg_status"] == status.value
@@ -739,10 +776,10 @@ def test_a_closed_stdout_exits_one_without_a_message():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
 def test_running_out_of_memory_exits_one_with_an_error_line():
-    """`show "I(1000000)"` holds about 710 MiB of records and sparse matrix
-    rows before it prints a matrix row, so I(2000000) runs past the 512 MiB
-    address-space cap set in the child alone, in 6-9 s on 2 vCPUs; `main`
-    reports the MemoryError in one line instead of a traceback."""
+    """`show "I(1000000)"` holds about 440 MiB of shape table and sparse
+    matrix rows before it prints a matrix row, so I(2000000) runs past the
+    512 MiB address-space cap set in the child alone, in 0.8-0.9 s on 2
+    vCPUs; `main` reports the MemoryError in one line instead of a traceback."""
     import resource
 
     def cap():

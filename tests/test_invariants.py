@@ -354,7 +354,7 @@ class TestNormalizationCountOracle:
 
 
 def test_no_invariant_keeps_its_configuration_alive():
-    """Only the runs that `build` reads memoize, so a parsed configuration
+    """Only the shape table of a type memoizes, so a parsed configuration
     is freed once its caller lets go of it, profiled and compared or not."""
     config = parse_document(serialize_document(build(KodairaType("IStar", 3))))
     for function in (classify, fiber_obstruction, invariant_profile):

@@ -24,7 +24,7 @@ from kodaira import (
     fiber_obstruction,
     invariant_profile,
 )
-from kodaira.curves import _sparse_rows
+from kodaira.curves import _product
 from oracles import (
     PAIR_WEIGHT,
     bipartite_graph,
@@ -83,11 +83,13 @@ def configurations(draw):
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_intersection_matrix_shape(config):
-    """The rows `show` prints are symmetric, with no negative entry off the diagonal."""
-    rows = _sparse_rows(config)
-    for i, row in enumerate(rows):
-        for j, entry in row.items():
-            assert rows[j].get(i) == entry
+    """The matrix that the fiber test multiplies by, read off its products
+    with the unit vectors, is symmetric, with no negative entry off the diagonal."""
+    n = config.n_components
+    columns = [_product(config, [int(i == j) for i in range(n)]) for j in range(n)]
+    for j, column in enumerate(columns):
+        for i, entry in enumerate(column):
+            assert columns[i][j] == entry
             assert i == j or entry >= 0
 
 
@@ -193,12 +195,10 @@ def test_fiber_test_is_zariskis_lemma(config):
     the library takes from the lemma."""
     mult = config.multiplicities()
     rows = dense_matrix(config)
-    # the sparse rows that `show` prints, written out in full
-    shown = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(_sparse_rows(config)):
-        for j, entry in row.items():
-            shown[i][j] = entry
-    assert shown == rows
+    # the matrix that the fiber test multiplies by, column by column
+    n = len(rows)
+    columns = [_product(config, [int(i == j) for i in range(n)]) for j in range(n)]
+    assert [list(row) for row in zip(*columns)] == rows
     product = [sum(x * v for x, v in zip(row, mult)) for row in rows]
 
     kernel = integer_kernel(rows)
