@@ -23,7 +23,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 
 from .curves import (
     Component,
@@ -226,12 +226,13 @@ def build(kind: KodairaType) -> CurveConfiguration:
         intrinsic = (IntrinsicType.CUSP,) if n is None else (IntrinsicType.NODE,) * n
         return CurveConfiguration((Component("c1", kind.m or 1, int(n == 0), 0, intrinsic),))
     mults, incidences, local = _shape(kind)
-    components = tuple([Component(f"c{i}", m, 0, -2, ()) for i, m in enumerate(mults, 1)])
-    # component numbers count from 1, and every point of a type has the same
-    # arity: one pass over all the incidences names the incident components
-    name_of = ("", *[c.name for c in components]).__getitem__
-    incidents = zip(*[map(name_of, chain.from_iterable(incidences))] * local.arity)
-    points = tuple([SingularPoint(f"p{k}", local, names) for k, names in enumerate(incidents, 1)])
+    components = [Component(f"c{i}", m, 0, -2, ()) for i, m in enumerate(mults, 1)]
+    # component numbers count from 1; the points share the components' name strings
+    names = ["", *[c.name for c in components]]
+    points = [
+        SingularPoint(f"p{k}", local, [names[i] for i in incidence])
+        for k, incidence in enumerate(incidences, 1)
+    ]
     return CurveConfiguration(components, points)
 
 

@@ -19,10 +19,10 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -71,14 +71,7 @@ class IntrinsicType(str, Enum):
     CUSP = "cusp"
 
 
-def _slot_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
-    """The setter of each field's slot, in field order. It writes the slot
-    directly, past the frozen class's __setattr__, and skips the attribute
-    lookup that object.__setattr__ makes by name."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible component, counted with multiplicity."""
 
@@ -88,39 +81,24 @@ class Component:
     self_intersection: int = -2
     intrinsic: tuple[IntrinsicType, ...] = ()
 
-    def __init__(
-        self,
-        name: str,
-        multiplicity: int = 1,
-        geometric_genus: int = 0,
-        self_intersection: int = -2,
-        intrinsic: Iterable[IntrinsicType] = (),
-    ) -> None:
-        intrinsic = tuple(intrinsic)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "intrinsic", tuple(self.intrinsic))
+        name, multiplicity, genus = self.name, self.multiplicity, self.geometric_genus
         if multiplicity < 1:
             raise ConfigurationError(
                 f"component {name!r}: multiplicity must be >= 1, got {multiplicity}"
             )
-        if geometric_genus not in (0, 1):
+        if genus not in (0, 1):
             raise ConfigurationError(
-                f"component {name!r}: geometric genus must be 0 or 1, got {geometric_genus}"
+                f"component {name!r}: geometric genus must be 0 or 1, got {genus}"
             )
-        if geometric_genus == 1 and intrinsic:
+        if genus == 1 and self.intrinsic:
             raise ConfigurationError(
                 f"component {name!r}: a genus-one component cannot carry intrinsic singularities"
             )
-        set_name, set_multiplicity, set_genus, set_square, set_intrinsic = _COMPONENT_SLOTS
-        set_name(self, name)
-        set_multiplicity(self, multiplicity)
-        set_genus(self, geometric_genus)
-        set_square(self, self_intersection)
-        set_intrinsic(self, intrinsic)
 
 
-_COMPONENT_SLOTS = _slot_setters(Component)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SingularPoint:
     """A point where two or three distinct components meet."""
 
@@ -128,25 +106,19 @@ class SingularPoint:
     local_type: LocalType
     incident: tuple[str, ...]
 
-    def __init__(self, name: str, local_type: LocalType, incident: Iterable[str]) -> None:
-        incident = tuple(incident)
-        arity = local_type.arity
+    def __post_init__(self) -> None:
+        incident = tuple(self.incident)
+        object.__setattr__(self, "incident", incident)
+        arity = self.local_type.arity
         if len(incident) != arity:
             raise ConfigurationError(
-                f"point {name!r}: {local_type.value} needs "
+                f"point {self.name!r}: {self.local_type.value} needs "
                 f"{arity} incident components, got {len(incident)}"
             )
         if incident[0] == incident[1] or (arity == 3 and incident[2] in incident[:2]):
             raise ConfigurationError(
-                f"point {name!r}: incident components must be pairwise distinct"
+                f"point {self.name!r}: incident components must be pairwise distinct"
             )
-        set_name, set_local_type, set_incident = _POINT_SLOTS
-        set_name(self, name)
-        set_local_type(self, local_type)
-        set_incident(self, incident)
-
-
-_POINT_SLOTS = _slot_setters(SingularPoint)
 
 
 @dataclass(frozen=True)

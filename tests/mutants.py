@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant(
         "`build` names every point p1",
         "src/kodaira/catalog.py",
-        'SingularPoint(f"p{k}", local, names)',
-        'SingularPoint("p1", local, names)',
+        'SingularPoint(f"p{k}", local, [names[i] for i in incidence])',
+        'SingularPoint("p1", local, [names[i] for i in incidence])',
         (
             "tests/test_catalog.py::TestBuild"
             "::test_the_checked_constructor_accepts_every_built_configuration",
@@ -203,6 +203,20 @@ MUTANTS = (
         "if incident[0] == incident[1] or (arity == 3 and incident[2] in incident[:2]):",
         "if False:",
         ("tests/test_curves.py::TestValidation::test_repeated_incident_component_rejected",),
+    ),
+    Mutant(
+        "`Component` keeps `intrinsic` as given",
+        "src/kodaira/curves.py",
+        '        object.__setattr__(self, "intrinsic", tuple(self.intrinsic))\n',
+        "",
+        ("tests/test_curves.py::TestValidation::test_every_way_of_making_a_record_runs_its_checks",),
+    ),
+    Mutant(
+        "`Component` accepts genus 2",
+        "src/kodaira/curves.py",
+        "if genus not in (0, 1):",
+        "if genus not in (0, 1, 2):",
+        ("tests/test_curves.py::TestValidation::test_genus_two_rejected",),
     ),
     Mutant(
         "`_pairings` yields only the first pair of a triple point",

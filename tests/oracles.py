@@ -58,31 +58,48 @@ def integer_kernel(matrix: list[list[int]] | tuple) -> list[list[int]]:
 
     Unimodular column operations (tracked on an identity matrix) clear each
     row in turn; columns of the transform that pair with zero columns of
-    the reduced matrix span the kernel over Z, hence over Q.
+    the reduced matrix span the kernel over Z, hence over Q. Each operation
+    visits only the rows that hold a nonzero in one of its two columns.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     a = [list(row) for row in matrix]
-    t = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    t = [[0] * ncols for _ in range(ncols)]
+    for j in range(ncols):
+        t[j][j] = 1
+    # the rows of `a` and of `t` that hold a nonzero in each column
+    held = ([set() for _ in range(ncols)], [{j} for j in range(ncols)])
+    for r, row in enumerate(a):
+        for j in itertools.compress(range(ncols), row):
+            held[0][j].add(r)
 
     def combine(j1: int, j2: int, r: int) -> None:
         x, y = a[r][j1], a[r][j2]
         g, u, v = _extended_gcd(x, y)
         p, q = -(y // g), x // g
-        for rows in (a, t):
-            for row in rows:
+        for rows, support in zip((a, t), held):
+            s1, s2 = set(), set()
+            for i in support[j1] | support[j2]:
+                row = rows[i]
                 c1, c2 = row[j1], row[j2]
-                row[j1] = u * c1 + v * c2
-                row[j2] = p * c1 + q * c2
+                row[j1] = d1 = u * c1 + v * c2
+                row[j2] = d2 = p * c1 + q * c2
+                if d1:
+                    s1.add(i)
+                if d2:
+                    s2.add(i)
+            support[j1], support[j2] = s1, s2
 
     def swap(j1: int, j2: int) -> None:
-        for rows in (a, t):
-            for row in rows:
+        for rows, support in zip((a, t), held):
+            for i in support[j1] | support[j2]:
+                row = rows[i]
                 row[j1], row[j2] = row[j2], row[j1]
+            support[j1], support[j2] = support[j2], support[j1]
 
     first_free = 0
     for r in range(nrows):
-        nonzero = [j for j in range(first_free, ncols) if a[r][j]]
+        nonzero = list(itertools.compress(range(first_free, ncols), a[r][first_free:]))
         while len(nonzero) > 1:
             combine(nonzero[0], nonzero[1], r)
             nonzero = [j for j in nonzero if a[r][j]]

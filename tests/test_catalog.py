@@ -155,34 +155,40 @@ class TestBuild:
                 assert build(kind) == _incidence_build(kind), kind
 
     def test_concurrent_builds_match_builds_made_alone(self):
-        """Four threads build shuffled mixes of cycles and IStar types,
-        switching every microsecond; `build` shares no state between calls,
-        so every configuration equals the one built alone."""
+        """Four threads build shuffled mixes of cycles and IStar types, each
+        kind twice, switching every microsecond. There are more kinds than
+        `_shape`'s cache holds, so the threads race its hits, misses and
+        evictions; `build` shares no other state between calls, so every
+        configuration equals the one built alone."""
         kinds = [
             kind
-            for n in range(50, 1000, 50)
+            for n in range(2, 74, 6)
             for kind in (KodairaType("I", n), KodairaType("IStar", n), KodairaType("mI", n, 2))
         ]
+        assert len(kinds) > catalog._shape.cache_info().maxsize
         alone = {kind: build(kind) for kind in kinds}
 
         start = threading.Barrier(4)
 
         def build_all(seed: int) -> list[tuple[KodairaType, CurveConfiguration]]:
-            order = kinds[:]
+            order = kinds * 2
             random.Random(seed).shuffle(order)
             start.wait(timeout=60)
             return [(kind, build(kind)) for kind in order]
 
+        before = catalog._shape.cache_info()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for first in range(0, 16, 4):
+            for first in range(0, 8, 4):
                 seeds = range(first, first + 4)
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     for built in pool.map(build_all, seeds, timeout=60):
                         assert all(config == alone[kind] for kind, config in built)
         finally:
             sys.setswitchinterval(interval)
+        after = catalog._shape.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses
 
     def test_the_checked_constructor_accepts_every_built_configuration(self):
         """`build` makes its configurations through the checked constructor,
@@ -273,7 +279,9 @@ def _shape_diagram(kind: KodairaType) -> tuple[tuple[int, ...], nx.MultiGraph]:
 def _primitive_kernel_vector(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The positive primitive vector that spans the integer kernel of
     -2 I + A on the curves 1..n, A the adjacency counts of `edges`."""
-    matrix = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = -2
     for a, b in edges:
         matrix[a - 1][b - 1] += 1
         matrix[b - 1][a - 1] += 1

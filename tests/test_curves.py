@@ -276,9 +276,10 @@ class TestValidation:
                 SingularPoint("p", LocalType.ORDINARY_TRIPLE, incident)
 
     def test_every_way_of_making_a_record_runs_its_checks(self):
-        """The records' constructors are written by hand, so they could drift
-        from the field list: keywords, defaults and `dataclasses.replace` all
-        go through them and their checks, and lists come back as tuples."""
+        """Every way of making a record runs its checks: the constructor takes
+        the fields as keywords with their declared defaults, `dataclasses.replace`
+        goes through the same checks, lists come back as tuples, and each
+        rejection keeps its message."""
         for cls in (Component, SingularPoint):
             assert list(inspect.signature(cls).parameters) == [f.name for f in fields(cls)]
         assert Component("a") == Component("a", 1, 0, -2, ())
@@ -298,6 +299,8 @@ class TestValidation:
         assert hash(point) == hash(replace(point))
         with pytest.raises(ConfigurationError, match="multiplicity must be >= 1"):
             replace(component, multiplicity=0)
+        with pytest.raises(ConfigurationError, match="geometric genus must be 0 or 1, got 2"):
+            replace(component, geometric_genus=2)
         with pytest.raises(ConfigurationError, match="pairwise distinct"):
             replace(point, incident=("a", "a"))
         with pytest.raises(ConfigurationError, match="genus-one component"):
