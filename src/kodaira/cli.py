@@ -99,16 +99,20 @@ def _row_texts(
 
 
 def _print_json_rows(
-    payload: dict[str, Any], key: str, rows: list[dict[int, Any]], texts: dict[Any, str]
+    payload: dict[str, Any], key: str, rows: list[dict[int, Any]], texts: dict[Any, str], *ints: str
 ) -> None:
-    """Print `json.dumps(payload | {key: lists}, indent=2, sort_keys=True)`,
-    where `lists` is the non-empty square matrix of the sparse `rows`, each
-    entry's text looked up in `texts`, written a row at a time by `_row_texts`."""
+    """Print `json.dumps(payload | {key: lists}, indent=2, sort_keys=True)`, `lists` being
+    the non-empty square matrix of the sparse `rows`, each entry's text looked up in `texts`,
+    written a row at a time by `_row_texts`; the values at `ints` are non-empty int lists."""
     # the separator of two items of a list nested in a list at the top level
     # of a JSON document, as `json.dumps(..., indent=2)` writes it
     items = ",\n      "
-    # the document around a placeholder, split where the rows go
-    head, tail = json.dumps(payload | {key: 0}, indent=2, sort_keys=True).split(f'"{key}": 0')
+    # the document around placeholders: json's indent encoder is pure Python
+    text = json.dumps(payload | dict.fromkeys((key, *ints), 0), indent=2, sort_keys=True)
+    for name in ints:
+        flat = ",\n    ".join(map(str, payload[name]))
+        text = text.replace(f'"{name}": 0', f'"{name}": [\n    {flat}\n  ]', 1)
+    head, tail = text.split(f'"{key}": 0')
     write = sys.stdout.write
     write(f'{head}"{key}": [')
     comma = ""
@@ -156,7 +160,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     ]
     if args.format == "json":
         payload = {key: value for _, _, key, value in rows if key}
-        _print_json_rows(payload, "intersection_matrix", matrix, texts)
+        _print_json_rows(payload, "intersection_matrix", matrix, texts, "multiplicities")
         return 0
     for label, text, _, _ in rows:
         print(f"{label}: {text}")
@@ -243,12 +247,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
-
-
 def _int_at_least(low: int):
     """argparse type: an int no smaller than `low`."""
 
@@ -268,49 +266,51 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kodaira",
-        description="Kodaira curves: catalog, invariants and Fourier-Mukai partner checks.",
-    )
+_FORMAT = dict(choices=("table", "json"), default="table", help="output format")
+# name: (help, command, (argument, keywords), ...); every command also takes `--format`
+_COMMANDS: dict[str, tuple[Any, ...]] = {
+    "list": ("list the catalog type families", cmd_list),
+    "show": (
+        "full invariant report for a type",
+        cmd_show,
+        ("type", dict(help='type spec, e.g. "IStar(3)" or "mI(2,4)"')),
+    ),
+    "classify": (
+        "recognize a configuration document",
+        cmd_classify,
+        ("path", dict(help="configuration document to read")),
+    ),
+    "compare": (
+        "Fourier-Mukai partner verdict for two types", cmd_compare, ("left", {}), ("right", {})
+    ),
+    "matrix": (
+        "pairwise verdicts over a parameter range",
+        cmd_matrix,
+        ("--max-n", dict(type=_int_at_least(0), default=4, help="largest cycle/star parameter N")),
+        ("--max-m", dict(type=_int_at_least(1), default=3, help="largest multiplicity m")),
+    ),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every command is a choice, but only those that argv names get their arguments:
+    argparse hands the rest of argv to the one subparser its first positional names."""
+    description = "Kodaira curves: catalog, invariants and Fourier-Mukai partner checks."
+    parser = argparse.ArgumentParser(prog="kodaira", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list the catalog type families")
-    _add_format(p_list)
-    p_list.set_defaults(func=cmd_list)
-
-    p_show = sub.add_parser("show", help="full invariant report for a type")
-    p_show.add_argument("type", help='type spec, e.g. "IStar(3)" or "mI(2,4)"')
-    _add_format(p_show)
-    p_show.set_defaults(func=cmd_show)
-
-    p_classify = sub.add_parser("classify", help="recognize a configuration document")
-    p_classify.add_argument("path", help="configuration document to read")
-    _add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_compare = sub.add_parser("compare", help="Fourier-Mukai partner verdict for two types")
-    p_compare.add_argument("left")
-    p_compare.add_argument("right")
-    _add_format(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_matrix = sub.add_parser("matrix", help="pairwise verdicts over a parameter range")
-    p_matrix.add_argument(
-        "--max-n", type=_int_at_least(0), default=4, help="largest cycle/star parameter N"
-    )
-    p_matrix.add_argument(
-        "--max-m", type=_int_at_least(1), default=3, help="largest multiplicity m"
-    )
-    _add_format(p_matrix)
-    p_matrix.set_defaults(func=cmd_matrix)
+    for name, (text, func, *arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text, add_help=name in argv)
+        if name in argv:
+            for flag, keywords in (*arguments, ("--format", _FORMAT)):
+                command.add_argument(flag, **keywords)
+            command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if exc.code else 0
     try:

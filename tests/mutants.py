@@ -320,6 +320,25 @@ MUTANTS = (
         "except ZeroDivisionError:",
         ("tests/test_cli.py::test_running_out_of_memory_exits_one_with_an_error_line",),
     ),
+    Mutant(
+        "`build_parser` configures only argv[0]'s command",
+        "src/kodaira/cli.py",
+        "        if name in argv:\n",
+        "        if name in argv[:1]:\n",
+        (
+            "tests/test_cli.py"
+            "::test_a_parser_with_only_the_named_commands_configured_answers_like_a_full_one",
+        ),
+    ),
+    Mutant(
+        "`build_parser` configures every command",
+        "src/kodaira/cli.py",
+        "        if name in argv:\n",
+        "        if True:\n",
+        (
+            "tests/test_cli.py::test_a_call_adds_arguments_only_to_the_command_it_runs[classify]",
+        ),
+    ),
 )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -805,6 +806,112 @@ def test_module_entry_point_exits_one_on_a_usage_error():
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("usage: kodaira ")
+
+
+# argvs whose outputs depend on which subparsers `build_parser` configures:
+# every command bare, with `-h`, with extra positionals and with abbreviated
+# options, and command names in other places of argv
+PARSER_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["--foo", "show", "I(3)"],
+    ["-h", "show"],
+    ["--", "show", "II"],
+    ["show", "list"],
+    ["--format", "json", "show", "II"],
+    ["Show", "II"],
+    ["sho", "II"],
+    ["list"],
+    ["list", "-h"],
+    ["list", "extra"],
+    ["list", "--format", "json"],
+    ["list", "--form", "json"],
+    ["list", "--format", "xml"],
+    ["list", "--format"],
+    ["list", "show", "II"],
+    ["show"],
+    ["show", "-h"],
+    ["show", "II"],
+    ["show", "II", "extra"],
+    ["show", "IStar(3)", "--format", "json"],
+    ["show", "mI(2,4)", "--form", "json"],
+    ["show", "W(3)"],
+    ["show", "--format", "json"],
+    ["show", "--", "II"],
+    ["show", "-h", "II"],
+    ["classify"],
+    ["classify", "-h"],
+    ["classify", "docs/examples/istar0.curve"],
+    ["classify", "docs/examples/istar0.curve", "extra"],
+    ["classify", "docs/examples/chain.curve", "--format", "json"],
+    ["classify", "docs/examples/double-tacnode.curve", "--form", "json"],
+    ["classify", "docs/examples/missing.curve"],
+    ["compare"],
+    ["compare", "-h"],
+    ["compare", "II"],
+    ["compare", "II", "III"],
+    ["compare", "II", "III", "IV"],
+    ["compare", "IStar(4)", "IStar(4)", "--format", "json"],
+    ["compare", "I(3)", "mI(2,3)", "--form", "json"],
+    ["compare", "show", "list"],
+    ["matrix"],
+    ["matrix", "-h"],
+    ["matrix", "extra"],
+    ["matrix", "--max", "2"],
+    ["matrix", "--max-n", "2", "--max-m", "2"],
+    ["matrix", "--max-n=1", "--format", "json"],
+    ["matrix", "--max-n", "1_0"],
+    ["matrix", "--max-n", "-1"],
+    ["matrix", "--max-m", "0"],
+    ["matrix", "--max-n", "show"],
+    ["matrix", "--max-m", "1", "--max-n", "1", "--form", "json"],
+]
+
+
+def test_a_parser_with_only_the_named_commands_configured_answers_like_a_full_one(
+    capsys, monkeypatch
+):
+    """`build_parser(argv)` gives arguments only to the commands that argv
+    names; a parser that configures every command must answer each argv of
+    the corpus with the same exit status, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    monkeypatch.chdir(REPO)
+
+    def answers() -> dict[str, tuple[int, str, str]]:
+        return {" ".join(argv): run_cli(capsys, *argv) for argv in PARSER_CORPUS}
+
+    named = answers()
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: real(list(cli._COMMANDS)))
+    assert named == answers()
+
+
+@pytest.mark.parametrize(
+    "argv,arguments",
+    [(["classify", "docs/examples/istar0.curve"], 4), (["show", "II"], 4), (["matrix"], 5)],
+    ids=["classify", "show", "matrix"],
+)
+def test_a_call_adds_arguments_only_to_the_command_it_runs(capsys, monkeypatch, argv, arguments):
+    """One parser per command plus the top level, but only the run command
+    gets arguments: the two `-h`, its own arguments and `--format`."""
+    monkeypatch.chdir(REPO)
+    counts = {"parsers": 0, "arguments": 0}
+    init, add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert counts == {"parsers": 6, "arguments": arguments}
 
 
 @pytest.mark.parametrize(
