@@ -1,20 +1,21 @@
 """The catalog of Kodaira curves: builders, recognizer, subclasses.
 
-Every possible fiber of a smooth elliptic surface is covered: the cycles
-I(N) and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types
-II, III, IV, and the star-shaped non-reduced types IStar(N), IIStar,
-IIIStar, IVStar whose dual graphs are the affine diagrams D~(N+4), E~8,
-E~7, E~6. `build` makes explicit configurations through the checked
-constructors, records and configuration alike, all fresh on every call,
-from `_shape`'s table of multiplicities and point incidences. `_shape_rows`
-reads the multiplicities and the sparse intersection matrix off the same
-table without a record; `show` prints those, so no command builds. `_recognize`
-runs the fiber gates for every caller: the fiber test, then `_fiber_type`,
-which reads the type off the sorted multiplicities, for a fiber of
-(-2)-curves a multiple of the null root of its affine diagram; no
-component order or label counts. A configuration that it names is
-isomorphic to `build` of the type, so a profile is read off the type
-alone.
+Every possible fiber of a smooth elliptic surface is covered: the cycles I(N)
+and their multiples mI(m,N), the cuspidal/tacnodal/triple-point types II, III,
+IV, and the star-shaped non-reduced types IStar(N), IIStar, IIIStar, IVStar
+whose dual graphs are the affine diagrams D~(N+4), E~8, E~7, E~6. `_FAMILIES`
+is that list, one row per family, and the one place that describes a family:
+its subclass, parameters, component count, cycle flag and `list` entries.
+`build` makes explicit configurations through the checked constructors,
+records and configuration alike, all fresh on every call, from `_shape`'s
+table of multiplicities and point incidences. `_shape_rows` reads the
+multiplicities and the sparse intersection matrix off the same table without a
+record; `show` prints those, so no command builds. `_recognize` runs the fiber
+gates for every caller: the fiber test, then `_fiber_type`, which reads the
+type off the sorted multiplicities, for a fiber of (-2)-curves a multiple of
+the null root of its affine diagram; no component order or label counts. A
+configuration that it names is isomorphic to `build` of the type, so a profile
+is read off the type alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .curves import (
     Component,
@@ -42,101 +44,14 @@ class TypeSpecError(ValueError):
 
 
 class Subclass(str, Enum):
-    L1 = "L1"  # reduced fibers
-    L2 = "L2"  # non-reduced, non-multiple fibers
-    L3 = "L3"  # multiple fibers
+    L1 = "L1"
+    L2 = "L2"
+    L3 = "L3"
 
 
-_FAMILIES = ("I", "II", "III", "IV", "IStar", "IIStar", "IIIStar", "IVStar", "mI")
-_PARAMETERLESS = ("II", "III", "IV", "IIStar", "IIIStar", "IVStar")
-
-
-@dataclass(frozen=True)
-class KodairaType:
-    """A fiber type, e.g. I(4), II, IStar(0) or mI(2,3)."""
-
-    family: str
-    n: int | None = None
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown type family {self.family!r}")
-        if self.family in _PARAMETERLESS:
-            if self.n is not None or self.m is not None:
-                raise ValueError(f"type {self.family} takes no parameters")
-        elif self.family in ("I", "IStar"):
-            if self.n is None or self.n < 0 or self.m is not None:
-                raise ValueError(f"type {self.family} needs a single parameter N >= 0")
-        else:  # mI
-            if self.m is None or self.m < 2:
-                raise ValueError("type mI needs a multiplicity m >= 2")
-            if self.n is None or self.n < 0:
-                raise ValueError("type mI needs a parameter N >= 0")
-
-    def __str__(self) -> str:
-        if self.family in _PARAMETERLESS:
-            return self.family
-        if self.family == "mI":
-            return f"mI({self.m},{self.n})"
-        return f"{self.family}({self.n})"
-
-
-_SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
-
-_SPEC_PATTERNS: tuple[tuple[re.Pattern[str], str], ...] = (
-    (re.compile(r"^I\(([0-9]+)\)$"), "I"),
-    (re.compile(r"^IStar\(([0-9]+)\)$"), "IStar"),
-    (re.compile(r"^mI\(([0-9]+),([0-9]+)\)$"), "mI"),
-    (re.compile(r"^I([0-9]+)\*$"), "IStar"),
-    (re.compile(r"^I([0-9]+)$"), "I"),
-    (re.compile(r"^([0-9]+)I([0-9]+)$"), "mI"),
+_SUBCLASS_TITLES = dict(  # as `kodaira list` prints them
+    zip(Subclass, ("reduced fibers", "non-reduced, non-multiple fibers", "multiple fibers"))
 )
-
-
-def parse_type(spec: str) -> KodairaType:
-    """Parse a type spec such as "IStar(3)", "mI(2,4)", "I0*" or "II*".
-
-    Unicode subscripts and the trailing star are accepted as input aliases;
-    the canonical rendering (via str) is always ASCII.
-    """
-    text = spec.strip().translate(_SUBSCRIPT_DIGITS)
-    if text in _PARAMETERLESS:
-        return KodairaType(text)
-    if text in ("II*", "III*", "IV*"):
-        return KodairaType(text[:-1] + "Star")
-    for pattern, family in _SPEC_PATTERNS:
-        match = pattern.match(text)
-        if match is None:
-            continue
-        try:  # the regex leaves only the digit limit for `_parse_int` to enforce
-            numbers = [_parse_int(group, "a type spec parameter", None) for group in match.groups()]
-        except DocumentError as exc:
-            raise TypeSpecError(str(exc)) from None
-        # well-formed but out-of-range parameters raise plain ValueError
-        return KodairaType(family, n=numbers[-1], m=numbers[0] if family == "mI" else None)
-    raise TypeSpecError(f"cannot parse type spec {spec!r}")
-
-
-def subclass_of(kind: KodairaType) -> Subclass:
-    if kind.family in ("I", "II", "III", "IV"):
-        return Subclass.L1
-    if kind.family == "mI":
-        return Subclass.L3
-    return Subclass.L2
-
-
-def catalog_types(max_n: int, max_m: int) -> list[KodairaType]:
-    """All types with cycle/star parameter <= max_n and multiplicity <= max_m."""
-    types = [KodairaType("I", n) for n in range(max_n + 1)]
-    types += [KodairaType("II"), KodairaType("III"), KodairaType("IV")]
-    types += [KodairaType("IStar", n) for n in range(max_n + 1)]
-    types += [KodairaType("IIStar"), KodairaType("IIIStar"), KodairaType("IVStar")]
-    types += [
-        KodairaType("mI", n, m) for m in range(2, max_m + 1) for n in range(max_n + 1)
-    ]
-    return types
-
 
 # Star-shaped types: multiplicity of each component and the incidences of
 # the N+5 resp. 9/8/7 components, indexed from 1.
@@ -158,9 +73,119 @@ _STAR_DATA: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
 _E_STAR_BY_ROOT = {tuple(sorted(star)): family for family, (star, _) in _STAR_DATA.items()}
 
 
-def _one_curve(kind: KodairaType) -> bool:
-    """Whether the type is one curve: II, I(0), I(1), mI(m,0) or mI(m,1)."""
-    return kind.family == "II" or kind.family in ("I", "mI") and (kind.n or 0) < 2
+class _Row(NamedTuple):
+    """A row of Kodaira's list (Barth-Hulek-Peters-Van de Ven, Compact Complex Surfaces, V.7)."""
+
+    subclass: Subclass
+    params: int  # 0, 1 (N) or 2 (m and N)
+    components: Callable[[int | None], int]  # the component count, a closed form in N
+    listing: tuple[tuple[str, str], ...]  # the (name, description) entries of `kodaira list`
+    cycle: bool = False  # a cycle A~N of transverse points: I(N) or mI(m,N)
+
+
+_FAMILIES: dict[str, _Row] = {  # one row per family, in `catalog_types` order
+    "I": _Row(Subclass.L1, 1, lambda n: max(n, 1), (
+        ("I(0)", "smooth elliptic curve"),
+        ("I(1)", "rational curve with one node"),
+        ("I(N)", "cycle of N rational curves, N >= 2; N components, multiplicities (1,...,1)"),
+    ), cycle=True),
+    "II": _Row(Subclass.L1, 0, lambda n: 1, (("II", "rational curve with one cusp"),)),
+    "III": _Row(Subclass.L1, 0, lambda n: 2, (("III", "two rational curves meeting at a tacnode"),)),
+    "IV": _Row(Subclass.L1, 0, lambda n: 3, (("IV", "three concurrent rational curves"),)),
+    "IStar": _Row(Subclass.L2, 1, lambda n: n + 5, (
+        ("IStar(N)", "N+5 components, multiplicities (1,1,1,1,2,...,2), N >= 0"),
+    )),
+    **{
+        family: _Row(Subclass.L2, 0, lambda n, k=len(star): k, (
+            (family, f"{len(star)} components, multiplicities ({','.join(map(str, star))})"),
+        ))
+        for family, (star, _) in _STAR_DATA.items()
+    },
+    "mI": _Row(Subclass.L3, 2, lambda n: max(n, 1), (
+        ("mI(m,0)", "multiple smooth elliptic curve, m >= 2"),
+        ("mI(m,1)", "multiple rational curve with one node, m >= 2"),
+        ("mI(m,N)", "cycle of N rational curves with multiplicity m, m >= 2, N >= 2"),
+    ), cycle=True),
+}
+
+
+@dataclass(frozen=True)
+class KodairaType:
+    """A fiber type, e.g. I(4), II, IStar(0) or mI(2,3). Its parameters are
+    ints: N for I, IStar and mI, and the multiplicity m for mI."""
+
+    family: str
+    n: int | None = None
+    m: int | None = None
+
+    def __post_init__(self) -> None:
+        row = _FAMILIES.get(self.family)
+        if row is None:
+            raise ValueError(f"unknown type family {self.family!r}")
+        for name, value in (("N", self.n), ("m", self.m)):
+            if value is not None and type(value) is not int:  # a bool is no parameter either
+                raise ValueError(f"type {self.family} parameter {name} must be an int: {value!r}")
+        if row.params == 0 and (self.n is not None or self.m is not None):
+            raise ValueError(f"type {self.family} takes no parameters")
+        if row.params == 1 and (self.n is None or self.n < 0 or self.m is not None):
+            raise ValueError(f"type {self.family} needs a single parameter N >= 0")
+        if row.params == 2 and (self.m is None or self.m < 2):
+            raise ValueError(f"type {self.family} needs a multiplicity m >= 2")
+        if row.params == 2 and (self.n is None or self.n < 0):
+            raise ValueError(f"type {self.family} needs a parameter N >= 0")
+
+    def __str__(self) -> str:
+        params = (self.m, self.n)[2 - _FAMILIES[self.family].params :]  # (m, N), (N,) or ()
+        return f"{self.family}({','.join(map(str, params))})" if params else self.family
+
+
+_SUBSCRIPT_DIGITS = str.maketrans("₀₁₂₃₄₅₆₇₈₉", "0123456789")
+
+_SPEC_PATTERNS: tuple[tuple[re.Pattern[str], str], ...] = (
+    (re.compile(r"^I\(([0-9]+)\)$"), "I"),
+    (re.compile(r"^IStar\(([0-9]+)\)$"), "IStar"),
+    (re.compile(r"^mI\(([0-9]+),([0-9]+)\)$"), "mI"),
+    (re.compile(r"^I([0-9]+)\*$"), "IStar"),
+    (re.compile(r"^I([0-9]+)$"), "I"),
+    (re.compile(r"^([0-9]+)I([0-9]+)$"), "mI"),
+)
+
+
+def parse_type(spec: str) -> KodairaType:
+    """Parse a type spec such as "IStar(3)", "mI(2,4)", "I0*" or "II*".
+
+    Unicode subscripts and the trailing star are accepted as input aliases;
+    the canonical rendering (via str) is always ASCII.
+    """
+    text = spec.strip().translate(_SUBSCRIPT_DIGITS)
+    name = text.replace("*", "Star")  # II* is IIStar, and I0* matches a pattern below
+    if name in _FAMILIES and _FAMILIES[name].params == 0:
+        return KodairaType(name)
+    for pattern, family in _SPEC_PATTERNS:
+        match = pattern.match(text)
+        if match is None:
+            continue
+        try:  # the regex leaves only the digit limit for `_parse_int` to enforce
+            numbers = [_parse_int(group, "a type spec parameter", None) for group in match.groups()]
+        except DocumentError as exc:
+            raise TypeSpecError(str(exc)) from None
+        # well-formed but out-of-range parameters raise plain ValueError
+        return KodairaType(family, n=numbers[-1], m=numbers[0] if len(numbers) == 2 else None)
+    raise TypeSpecError(f"cannot parse type spec {spec!r}")
+
+
+def subclass_of(kind: KodairaType) -> Subclass:
+    return _FAMILIES[kind.family].subclass
+
+
+def catalog_types(max_n: int, max_m: int) -> list[KodairaType]:
+    """All types with cycle/star parameter <= max_n and multiplicity <= max_m."""
+    return [
+        KodairaType(family, n, m)
+        for family, row in _FAMILIES.items()
+        for m in (range(2, max_m + 1) if row.params == 2 else [None])
+        for n in (range(max_n + 1) if row.params else [None])
+    ]
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,7 +222,7 @@ def _shape_rows(kind: KodairaType) -> tuple[tuple[int, ...], list[dict[int, int]
     its incident curves: the two points of I(2), III's tacnode and IV's
     triple point included.
     """
-    if _one_curve(kind):
+    if _FAMILIES[kind.family].components(kind.n) == 1:
         return (kind.m or 1,), [{0: 0}]
     mults, incidences, local = _shape(kind)
     rows = [{i: -2} for i in range(len(mults))]
@@ -220,7 +245,7 @@ def build(kind: KodairaType) -> CurveConfiguration:
     A type of two or more curves has curve ci of multiplicity m, a smooth
     rational (-2)-curve, and the points of `_shape`.
     """
-    if _one_curve(kind):
+    if _FAMILIES[kind.family].components(kind.n) == 1:
         n = kind.n
         # rational with a cusp (II), smooth elliptic (N = 0) or rational with a node
         intrinsic = (IntrinsicType.CUSP,) if n is None else (IntrinsicType.NODE,) * n

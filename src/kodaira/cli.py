@@ -13,9 +13,11 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import groupby
 from typing import Any, Iterator
 
-from .catalog import TypeSpecError, _recognize, _shape_rows, catalog_types, parse_type, subclass_of
+from .catalog import _FAMILIES, _SUBCLASS_TITLES, TypeSpecError, _recognize, _shape_rows
+from .catalog import catalog_types, parse_type, subclass_of
 from .document import _INTEGER, DocumentError, _parse_int, parse_document
 from .invariants import DsgStatus, _type_profile
 from .partner import VerdictKind, _verdict, _verdict_rows
@@ -32,51 +34,17 @@ _CELL_CHAR = {
     VerdictKind.POSSIBLY_EQUIVALENT: "?",
 }
 
-_CATALOG_LISTING = [
-    (
-        "L1 (reduced fibers)",
-        [
-            ("I(0)", "smooth elliptic curve"),
-            ("I(1)", "rational curve with one node"),
-            ("I(N)", "cycle of N rational curves, N >= 2; N components, multiplicities (1,...,1)"),
-            ("II", "rational curve with one cusp"),
-            ("III", "two rational curves meeting at a tacnode"),
-            ("IV", "three concurrent rational curves"),
-        ],
-    ),
-    (
-        "L2 (non-reduced, non-multiple fibers)",
-        [
-            ("IStar(N)", "N+5 components, multiplicities (1,1,1,1,2,...,2), N >= 0"),
-            ("IIStar", "9 components, multiplicities (1,2,3,4,5,6,4,3,2)"),
-            ("IIIStar", "8 components, multiplicities (1,2,3,4,3,2,2,1)"),
-            ("IVStar", "7 components, multiplicities (1,2,3,2,2,1,1)"),
-        ],
-    ),
-    (
-        "L3 (multiple fibers)",
-        [
-            ("mI(m,0)", "multiple smooth elliptic curve, m >= 2"),
-            ("mI(m,1)", "multiple rational curve with one node, m >= 2"),
-            ("mI(m,N)", "cycle of N rational curves with multiplicity m, m >= 2, N >= 2"),
-        ],
-    ),
-]
-
-
 def cmd_list(args: argparse.Namespace) -> int:
+    """The `list` entries of the catalog's rows, in table order, under their subclass titles."""
+    entries = [(row.subclass, *entry) for row in _FAMILIES.values() for entry in row.listing]
     if args.format == "json":
-        families = [
-            {"name": name, "subclass": group.split(" ", 1)[0], "description": text}
-            for group, entries in _CATALOG_LISTING
-            for name, text in entries
-        ]
+        families = [{"name": n, "subclass": s.value, "description": d} for s, n, d in entries]
         print(json.dumps({"families": families}, indent=2, sort_keys=True))
         return 0
     print("Kodaira curve catalog")
-    for group, entries in _CATALOG_LISTING:
-        print(f"{group}:")
-        for name, text in entries:
+    for subclass, group in groupby(entries, key=lambda entry: entry[0]):
+        print(f"{subclass.value} ({_SUBCLASS_TITLES[subclass]}):")
+        for _, name, text in group:
             print(f"  {name}: {text}")
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .catalog import _STAR_DATA, KodairaType, _recognize
+from .catalog import _FAMILIES, KodairaType, Subclass, _recognize
 from .curves import CurveConfiguration, _adjunction_failure
 
 
@@ -112,8 +112,9 @@ def invariant_profile(config: CurveConfiguration) -> InvariantProfile:
 
 
 def _type_profile(kind: KodairaType) -> InvariantProfile:
-    """The profile of every configuration of a catalog type. On a fiber of
-    N components:
+    """The profile of every configuration of a catalog type, in closed forms
+    read off the type's row in the catalog's table of families, never off its
+    shape. On a fiber of N components:
 
     - The G_0 rank is N + 1, whatever the multiplicities (devissage): with
       rational components G_0 modulo Pic^0 is free on the N components and
@@ -127,18 +128,11 @@ def _type_profile(kind: KodairaType) -> InvariantProfile:
       free of rank N.
     - A reduced curve counts its points and intrinsic singularities.
     """
-    family, n = kind.family, kind.n
-    if family in ("I", "mI"):
-        components = max(n, 1)
-    elif family == "IStar":
-        components = n + 5
-    elif family in _STAR_DATA:
-        components = len(_STAR_DATA[family][0])
-    else:  # one cuspidal curve, two at a tacnode, three at a triple point
-        components = ("II", "III", "IV").index(family) + 1
-    torus = int(family in ("I", "mI") and n >= 1)
-    elliptic = int(family in ("I", "mI") and n == 0)
-    count = n if family == "I" else 1 if family in ("II", "III", "IV") else None
+    row, n = _FAMILIES[kind.family], kind.n
+    components = row.components(n)
+    torus = int(row.cycle and n >= 1)
+    elliptic = int(row.cycle and n == 0)
+    count = None if row.subclass is not Subclass.L1 else 1 if n is None else n
     return InvariantProfile(
         n_components=components,
         g0_rank=components + 1,

@@ -165,8 +165,8 @@ MUTANTS = (
     Mutant(
         "`_type_profile` gives I(0) torus rank 1",
         "src/kodaira/invariants.py",
-        'torus = int(family in ("I", "mI") and n >= 1)',
-        'torus = int(family in ("I", "mI") and (n >= 1 or family == "I"))',
+        "torus = int(row.cycle and n >= 1)",
+        "torus = int(row.cycle and (n >= 1 or row.params == 1))",
         (
             "tests/test_acceptance.py::test_criterion_4_negative_k_groups",
             "tests/test_graphs.py::TestLoopRank::test_all_other_types_have_no_loops[kind0]",
@@ -175,9 +175,9 @@ MUTANTS = (
     ),
     Mutant(
         "`_type_profile` gives IStar(N) N + 4 components",
-        "src/kodaira/invariants.py",
-        "components = n + 5",
-        "components = n + 4",
+        "src/kodaira/catalog.py",
+        '"IStar": _Row(Subclass.L2, 1, lambda n: n + 5,',
+        '"IStar": _Row(Subclass.L2, 1, lambda n: n + 4,',
         (
             "tests/test_acceptance.py::test_criterion_3_grothendieck_group_ranks",
             "tests/test_properties.py::test_profile_fields_against_oracles",
@@ -311,6 +311,40 @@ MUTANTS = (
         (
             "tests/test_properties.py"
             "::test_the_constructor_rejects_exactly_the_disconnected_configurations",
+        ),
+    ),
+    Mutant(
+        "`_verdict_rows` profiles each type twice",
+        "src/kodaira/partner.py",
+        "profile = _type_profile(t)",
+        "profile = _type_profile(t) and _type_profile(t)",
+        ("tests/test_cli.py::test_matrix_profiles_each_type_once[4-3]",),
+    ),
+    Mutant(
+        "an E-star `list` entry prints its sorted multiplicities",
+        "src/kodaira/catalog.py",
+        "','.join(map(str, star))",
+        "','.join(map(str, sorted(star)))",
+        ("tests/test_cli.py::test_readme_examples_reproduce_byte_for_byte[list]",),
+    ),
+    Mutant(
+        "`KodairaType` skips the int check",
+        "src/kodaira/catalog.py",
+        "if value is not None and type(value) is not int:",
+        "if False:",
+        (
+            "tests/test_catalog.py::TestTypeParameters"
+            "::test_a_parameter_that_is_not_an_int_is_rejected[I-True]",
+        ),
+    ),
+    Mutant(
+        "`list --format json` gives each entry its subclass header as the subclass",
+        "src/kodaira/cli.py",
+        '"subclass": s.value,',
+        '"subclass": f"{s.value} ({_SUBCLASS_TITLES[s]})",',
+        (
+            "tests/test_cli.py::TestJsonOutput"
+            "::test_list_json_holds_the_table_entries_under_their_headers",
         ),
     ),
     Mutant(

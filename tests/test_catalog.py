@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 import weakref
@@ -51,6 +52,22 @@ class TestTypeParameters:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             KodairaType("V")
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            pytest.param(("I", True), "N", id="I-True"),
+            pytest.param(("I", 2.5), "N", id="I-2.5"),
+            pytest.param(("IStar", "3"), "N", id="IStar-str"),
+            pytest.param(("II", False), "N", id="II-False"),
+            pytest.param(("mI", 2.0, 3), "N", id="mI-float"),
+            pytest.param(("mI", 3, True), "m", id="mI-m-True"),
+        ],
+    )
+    def test_a_parameter_that_is_not_an_int_is_rejected(self, args, name):
+        # a bool is an int to isinstance: KodairaType("I", True) would equal I(1)
+        with pytest.raises(ValueError, match=f"parameter {name} must be an int"):
+            KodairaType(*args)
 
 
 class TestParseType:
@@ -311,6 +328,45 @@ class TestShape:
         root = _primitive_kernel_vector(len(mults), tuple(diagram.edges()))
         k = mults[0] // root[0]
         assert k >= 1 and mults == tuple(k * x for x in root), kind
+
+
+_LISTED_MULTIPLICITIES = re.compile(r"multiplicities \(([^)]*)\)")
+
+
+def _listed_multiplicities(family: str) -> list[str]:
+    """The items of the multiplicity tuple in a family's one `list` entry."""
+    ((_, text),) = catalog._FAMILIES[family].listing
+    return _LISTED_MULTIPLICITIES.search(text).group(1).split(",")
+
+
+def _sorted_null_root(diagram: nx.MultiGraph) -> list[int]:
+    """The sorted primitive kernel vector of an oracle's affine diagram."""
+    diagram = nx.convert_node_labels_to_integers(diagram, first_label=1)
+    return sorted(_primitive_kernel_vector(len(diagram), tuple(diagram.edges())))
+
+
+class TestFamilyTable:
+    """The catalog's table of families checked against the oracles."""
+
+    @pytest.mark.parametrize("family", sorted(_E_STAR_ARMS))
+    def test_an_e_star_entry_lists_the_null_root(self, family):
+        listed = sorted(map(int, _listed_multiplicities(family)))
+        assert listed == _sorted_null_root(reference_estar(_E_STAR_ARMS[family]))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_the_istar_entry_lists_the_null_root(self, n):
+        # "(1,1,1,1,2,...,2)": a run "a,...,a" fills the tuple to the component count
+        items = _listed_multiplicities("IStar")
+        dots = items.index("...")
+        assert items[dots - 1] == items[dots + 1] and dots + 2 == len(items)
+        head = [int(x) for x in items[: dots - 1]]
+        run = catalog._FAMILIES["IStar"].components(n) - len(head)
+        assert head + [int(items[-1])] * run == _sorted_null_root(reference_dstar(n))
+
+    @pytest.mark.parametrize("kind", catalog_types(12, 4), ids=str)
+    def test_the_component_count_is_the_shape_length(self, kind):
+        count = catalog._FAMILIES[kind.family].components(kind.n)
+        assert count == (len(catalog._shape(kind)[0]) if kind in _SHAPED else 1)
 
 
 class TestClassify:

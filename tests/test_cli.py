@@ -328,6 +328,20 @@ class TestJsonOutput:
         assert code == 0
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
+    def test_list_json_holds_the_table_entries_under_their_headers(self, capsys):
+        code, out, _ = run_cli(capsys, "list")
+        assert code == 0
+        expected, header = [], None
+        for line in out.splitlines()[1:]:
+            if line.startswith("  "):
+                name, description = line[2:].split(": ", 1)
+                expected.append({"name": name, "subclass": header, "description": description})
+            else:  # "L1 (reduced fibers):"
+                header = line.split(" ", 1)[0]
+        code, out, _ = run_cli(capsys, "list", "--format", "json")
+        assert code == 0
+        assert len(expected) == 13 and json.loads(out) == {"families": expected}
+
     def test_classify_json_for_recognized_curve(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO)
         code, out, err = run_cli(capsys, "classify", "docs/examples/istar0.curve", "--format", "json")
@@ -394,6 +408,16 @@ def test_a_cold_matrix_builds_no_witness(capsys, monkeypatch, fmt):
     assert code == 0 and "IIStar" in out
     assert made[Witness] == 0
     assert made[PartnerVerdict] <= len(catalog_types(40, 6))
+
+
+@pytest.mark.parametrize("max_n,max_m", [(4, 3), (12, 4), (40, 6)])
+def test_matrix_profiles_each_type_once(capsys, monkeypatch, max_n, max_m):
+    calls = []
+    real = partner._type_profile
+    monkeypatch.setattr(partner, "_type_profile", lambda kind: calls.append(kind) or real(kind))
+    code, _, _ = run_cli(capsys, "matrix", "--max-n", str(max_n), "--max-m", str(max_m))
+    assert code == 0
+    assert len(calls) == len(catalog_types(max_n, max_m))
 
 
 def _clear_caches() -> None:
